@@ -312,7 +312,7 @@ pub fn kill_and_measure_restart(w: &mut World, sim: &mut OsSim, s: &Session) -> 
     let gen = Session::last_gen_stat(w).expect("a checkpoint exists").gen;
     s.kill_computation(w, sim);
     RestartPlan::from_generation(w, s.opts.coord_port, gen)
-        .expect("restart script written")
+        .expect("generation record written")
         .execute(s, w, sim)
         .expect("identity restart");
     Session::wait_restart_done(w, sim, gen, EV);

@@ -157,10 +157,16 @@ pub fn parse_gen(path: &str) -> Option<u32> {
     digits.parse().ok()
 }
 
-/// The same logical path pointed at a different generation.
+/// The same logical path pointed at a different generation. Only the
+/// last `_gen<N>` — the one [`parse_gen`] reads — is rewritten, so a
+/// directory named like a generation is left alone.
 pub fn with_gen(path: &str, gen: u32) -> Option<String> {
-    let cur = parse_gen(path)?;
-    Some(path.replace(&format!("_gen{cur}"), &format!("_gen{gen}")))
+    parse_gen(path)?;
+    let start = path.rfind("_gen")? + 4;
+    let end = path[start..]
+        .find(|c: char| !c.is_ascii_digit())
+        .map_or(path.len(), |off| start + off);
+    Some(format!("{}{gen}{}", &path[..start], &path[end..]))
 }
 
 /// Virtual pid of the writing process embedded in an image path
@@ -235,6 +241,16 @@ mod tests {
             Some("/ckpt/ckpt_40001_gen3.dmtcp")
         );
         assert_eq!(parse_gen("/ckpt/no-generation"), None);
+    }
+
+    #[test]
+    fn rewrite_touches_only_the_image_generation() {
+        let p = "/ckpt/a_gen12/ckpt_40001_gen12.dmtcp";
+        assert_eq!(parse_gen(p), Some(12));
+        assert_eq!(
+            with_gen(p, 11).as_deref(),
+            Some("/ckpt/a_gen12/ckpt_40001_gen11.dmtcp")
+        );
     }
 
     #[test]

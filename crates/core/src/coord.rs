@@ -3,13 +3,15 @@
 //! One coordinator process serves a whole computation: it implements the
 //! six global barriers of the checkpoint algorithm (§4.3), the discovery
 //! service restart needs to find migrated peers (§4.4), interval
-//! checkpointing (`--interval`), and restart-script generation. The paper
-//! notes the centralized coordinator is not a bottleneck at 32 nodes and
-//! could be replaced by a distributed implementation; `bench/ablation`
-//! measures exactly that claim.
+//! checkpointing (`--interval`), and the generation record restart plans
+//! from (the paper's restart script). The paper notes the centralized
+//! coordinator is not a bottleneck at 32 nodes and could be replaced by a
+//! distributed implementation; `bench/ablation` measures exactly that
+//! claim.
 
 use crate::gsid::{global, Gsid};
 use crate::proto::{frame, FrameBuf, Msg};
+use crate::restart::record::GenRecord;
 use oskit::program::{Program, Step};
 use oskit::world::{NodeId, Pid, Tid, World};
 use oskit::{Errno, Fd, Kernel};
@@ -35,7 +37,8 @@ pub mod stage {
     /// writes this coincides with `CHECKPOINTED`; for forked checkpointing
     /// it is the end of the overlapped drain phase — the background
     /// compress+write pipeline finished *after* user threads resumed at
-    /// `REFILLED`. The restart script is only written once this releases.
+    /// `REFILLED`. The generation record is only published once this
+    /// releases.
     pub const CKPT_WRITTEN: u8 = 7;
     /// Restart: memory and threads restored (Figure 2 step 5).
     pub const RESTORED: u8 = 11;
@@ -70,8 +73,8 @@ pub struct GenStat {
     /// Number of participating processes.
     pub participants: u32,
     /// The generation was abandoned (a participant died mid-protocol); its
-    /// images, if any, must not be trusted and no restart script was
-    /// written for it.
+    /// images, if any, must not be trusted and no generation record was
+    /// published for it.
     pub aborted: bool,
 }
 
@@ -120,8 +123,12 @@ pub struct CoordShared {
     pub coord_pid: Option<Pid>,
     /// Barrier timing per generation.
     pub gen_stats: Vec<GenStat>,
+    /// Length of `gen_stats` when the newest restart was spawned: that
+    /// restart's own stat is pushed at or after this index, which tells it
+    /// apart from an earlier restart of the same generation.
+    pub restart_mark: usize,
     /// Paths of every image written in the last completed generation,
-    /// with their hostnames (drives the restart script).
+    /// with their hostnames (drives the generation record).
     pub last_images: Vec<(String, String)>,
     /// Live mirror of the coordinator's barrier bookkeeping. The
     /// coordinator program is boxed behind `dyn Program`, so `dmtcp
@@ -435,7 +442,7 @@ impl Coordinator {
 
     /// Abandon the in-flight generation: a participant died mid-protocol.
     /// Survivors are told to roll back and resume computing; the
-    /// generation's images (if any) are never listed in a restart script.
+    /// generation's images (if any) are never listed in a generation record.
     fn abort_generation(&mut self, k: &mut Kernel<'_>) {
         if !self.in_progress {
             return;
@@ -790,10 +797,10 @@ impl Coordinator {
             self.retry_at = None;
             if stg == stage::RESTART_REFILLED {
                 self.migrating = None;
-                // Restart completion: the restored images are the script's
-                // content; checkpoints instead publish their script only
+                // Restart completion: the restored images are the record's
+                // content; checkpoints instead publish their record only
                 // once CKPT_WRITTEN confirms every image is durable.
-                self.write_restart_script(k);
+                self.publish_record(k);
                 // A checkpoint requested mid-restore was queued; start it
                 // now that every manager is resumed.
                 if self.queued {
@@ -820,7 +827,7 @@ impl Coordinator {
         }
         if stg == stage::CKPT_WRITTEN {
             self.drain_open = false;
-            self.write_restart_script(k);
+            self.publish_record(k);
             if self.queued {
                 self.queued = false;
                 self.start_checkpoint(k);
@@ -852,29 +859,16 @@ impl Coordinator {
         s.barrier_pending = pending;
     }
 
-    /// Generate the restart script listing every image of the last
-    /// generation, grouped by host (§3: "a shell script ... containing all
-    /// the commands needed to restart the distributed computation"). Each
-    /// coordinator writes its own script path (see [`restart_script_path`]),
-    /// so dmtcpd shards never clobber one another's restart plans.
-    fn write_restart_script(&mut self, k: &mut Kernel<'_>) {
-        let images = coord_shared_for(k.w, self.port).last_images.clone();
-        if images.is_empty() {
-            return;
+    /// Publish the generation record (§3's restart script, typed — see
+    /// [`crate::restart::record`]) listing every image of the last
+    /// generation. Each coordinator writes its own per-port record, so
+    /// dmtcpd shards never clobber one another's restart plans.
+    fn publish_record(&mut self, k: &mut Kernel<'_>) {
+        let images = &coord_shared_for(k.w, self.port).last_images;
+        if let Some(rec) = GenRecord::from_images(images) {
+            let node = k.node();
+            rec.write(k.w, node, self.port);
         }
-        let mut by_host: BTreeMap<String, Vec<String>> = BTreeMap::new();
-        for (path, host) in &images {
-            by_host.entry(host.clone()).or_default().push(path.clone());
-        }
-        let mut script = String::from("#!/bin/sh\n# generated by dmtcp_coordinator\n");
-        for (host, paths) in &by_host {
-            script.push_str(&format!("ssh {host} dmtcp_restart {}\n", paths.join(" ")));
-        }
-        let path = restart_script_path(self.port);
-        let node = k.node();
-        let fs = k.w.fs_for_mut(node, &path);
-        fs.write_all(&path, script.as_bytes())
-            .expect("shared fs writable");
     }
 }
 
@@ -1074,20 +1068,8 @@ fn traced_candidates(k: &Kernel<'_>) -> Vec<(Pid, NodeId)> {
         .collect()
 }
 
-/// Where the coordinator listening on `port` writes its restart script.
-/// The default port keeps the historical fixed path; every other
-/// coordinator (a dmtcpd shard) gets a port-suffixed one, so concurrent
-/// shards never overwrite each other's restart plans.
-pub fn restart_script_path(port: u16) -> String {
-    if port == COORD_PORT {
-        "/shared/dmtcp_restart_script.sh".to_string()
-    } else {
-        format!("/shared/dmtcp_restart_script_{port}.sh")
-    }
-}
-
-/// Record an image written by a manager so the restart script of the root
-/// coordinator on `root_port` includes it.
+/// Record an image written by a manager so the generation record of the
+/// root coordinator on `root_port` lists it.
 pub fn record_image(w: &mut World, root_port: u16, path: String, host: String) {
     coord_shared_for(w, root_port)
         .last_images

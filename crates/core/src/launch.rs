@@ -131,13 +131,6 @@ impl Options {
             (false, false) => WriteMode::Uncompressed,
         }
     }
-
-    /// Shared-filesystem path of the restart script the coordinator rooted
-    /// at these options' port publishes after each committed generation —
-    /// what [`crate::restart::plan::RestartPlan`] plans from.
-    pub fn restart_script(&self) -> String {
-        crate::coord::restart_script_path(self.coord_port)
-    }
 }
 
 /// Builder for [`Options`]. Every setter has the default documented on the

@@ -6,8 +6,8 @@
 //! kernel in `oskit`:
 //!
 //! * the **checkpoint coordinator** — barriers, interval checkpoints, the
-//!   restart-time discovery service, and restart-script generation
-//!   ([`coord`]), optionally scaled out through per-node aggregation
+//!   restart-time discovery service, and the generation record restart
+//!   plans from ([`coord`], [`restart::record`]), optionally scaled out through per-node aggregation
 //!   relays ([`relay`]);
 //! * the **injected hijack layer** — per-process state installed by the
 //!   launcher's spawn hook into every traced process, propagated across

@@ -1231,7 +1231,7 @@ impl oskit::program::Program for Manager {
                     }
                     // The COW child's pipeline drained: the image is
                     // durable. Close the dirty ledger, surface the image to
-                    // the fault injector and the restart script, and ack.
+                    // the fault injector and the generation record, and ack.
                     let fw = self.forked.take().expect("forked write in flight");
                     let pid = k.pid;
                     let (dirty_bytes, incremental) =

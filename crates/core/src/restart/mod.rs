@@ -17,10 +17,12 @@
 //! process) take the same path.
 //!
 //! The [`plan`] submodule builds on this program: it maps a committed
-//! generation onto an *arbitrary* target topology (fewer or more hosts
-//! than wrote the images) and drives live migration of process subsets.
+//! generation, named by the coordinator's [`record`], onto an *arbitrary*
+//! target topology (fewer or more hosts than wrote the images) and drives
+//! live migration of process subsets.
 
 pub mod plan;
+pub mod record;
 
 use crate::gsid::{global, Gsid};
 use crate::hijack::{ConnTable, FdKindRec, Hijack, PtyRecord};
@@ -538,10 +540,8 @@ impl RestartProc {
                     mtcp::WriteMode::Uncompressed
                 },
             );
-            h.gen = {
-                // Generation encoded in the image path (…_gen<N>.dmtcp).
-                parse_gen(&l.path).unwrap_or(1)
-            };
+            // Generation encoded in the image path (…_gen<N>.dmtcp).
+            h.gen = ckptstore::manifest::parse_gen(&l.path).map_or(1, u64::from);
             h.drained = l.table.drained.clone();
             h.table = l.table.clone();
             h.restart_partial = Some((
@@ -600,14 +600,6 @@ impl RestartProc {
             }
         }
     }
-}
-
-/// Parse `…_gen<N>.dmtcp` out of an image path.
-pub fn parse_gen(path: &str) -> Option<u64> {
-    let idx = path.rfind("_gen")?;
-    let rest = &path[idx + 4..];
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
 }
 
 impl Program for RestartProc {

@@ -1,7 +1,7 @@
 //! Heterogeneous restart planning and live migration.
 //!
-//! [`RestartPlan`] is the typed replacement for the stringly
-//! `parse_restart_script` / `restart_from_script` pair: it maps a committed
+//! [`RestartPlan`] is the one way to restart: it reads the coordinator's
+//! [generation record](crate::restart::record) and maps a committed
 //! checkpoint generation onto an *arbitrary* target topology — the nodes
 //! that wrote the images, fewer (the paper's "continue on your laptop"
 //! pack-down), or more (gang rescheduling onto a grown cluster) — and can
@@ -49,8 +49,9 @@ use crate::coord::{coord_shared_for, stage};
 use crate::gsid::Gsid;
 use crate::hijack::FdKindRec;
 use crate::launch::Topology;
+use crate::restart::record::GenRecord;
 use crate::restart::RestartProc;
-use crate::session::{rewrite_gen, RestartError, RestartOutcome, Session};
+use crate::session::{RestartError, RestartOutcome, Session};
 use oskit::proc::sig;
 use oskit::world::{NodeId, OsSim, Pid, World};
 use simkit::{Nanos, Snap};
@@ -90,7 +91,7 @@ pub struct RestartPlanBuilder {
 
 impl RestartPlanBuilder {
     /// Pin the generation to restore. Unset: the newest generation named
-    /// by the restart script.
+    /// by the generation record.
     pub fn generation(mut self, gen: u64) -> Self {
         self.plan.gen = Some(gen);
         self
@@ -119,11 +120,11 @@ impl RestartPlanBuilder {
         self
     }
 
-    /// Whole-generation fallback (the behavior of
-    /// `Session::restart_resilient`): validate every image of the chosen
-    /// generation and fall back one generation at a time when any image is
-    /// torn, rotted, or missing. Only meaningful when no generation is
-    /// pinned.
+    /// Whole-generation fallback: validate every image of the newest
+    /// generation and fall back one generation at a time, down to
+    /// generation 1, when any image is torn, rotted, or missing. Every
+    /// rejected image is reported in [`RestartOutcome::rejected`]. Only
+    /// meaningful when no generation is pinned.
     pub fn resilient(mut self, on: bool) -> Self {
         self.plan.resilient = on;
         self
@@ -183,16 +184,13 @@ impl RestartPlan {
     }
 
     /// A plan pinned to generation `gen` of the computation rooted at
-    /// `port`, validated against its restart script:
-    /// [`RestartError::NoScript`] when no generation ever committed,
+    /// `port`, validated against its generation record:
+    /// [`RestartError::NoRecord`] when no generation ever committed,
+    /// [`RestartError::BadRecord`] when the record does not decode,
     /// [`RestartError::MissingGeneration`] when `gen` is outside the
     /// committed range.
     pub fn from_generation(w: &World, port: u16, gen: u64) -> Result<RestartPlan, RestartError> {
-        let script = script_groups(w, port);
-        if script.is_empty() {
-            return Err(RestartError::NoScript);
-        }
-        let top = newest_gen(&script);
+        let top = GenRecord::read(w, port)?.gen;
         if gen == 0 || gen > top {
             return Err(RestartError::MissingGeneration { gen });
         }
@@ -212,81 +210,72 @@ impl RestartPlan {
         w: &mut World,
         sim: &mut OsSim,
     ) -> Result<RestartOutcome, RestartError> {
-        let port = s.opts.coord_port;
-        let script = script_groups(w, port);
-        if script.is_empty() {
-            return Err(RestartError::NoScript);
-        }
-        let top = newest_gen(&script);
+        let rec = GenRecord::read(w, s.opts.coord_port)?;
         // (candidate generations, strict): a pinned generation and the
         // non-resilient newest fail hard on the first bad image; resilient
         // mode rejects the generation and falls back instead.
         let (cands, strict) = match self.gen {
             Some(g) => {
-                if g == 0 || g > top {
+                if g == 0 || g > rec.gen {
                     return Err(RestartError::MissingGeneration { gen: g });
                 }
                 (vec![g], true)
             }
-            None if !self.resilient => (vec![top], true),
-            None => ((1..=top).rev().collect(), false),
+            None if !self.resilient => (vec![rec.gen], true),
+            None => ((1..=rec.gen).rev().collect(), false),
         };
         let mut rejected: Vec<(String, String)> = Vec::new();
-        'gens: for g in cands {
+        for g in cands {
             // Gather per-image metadata, reading each connection table from
             // whichever node can still resolve the image (origin first,
             // then every replica holder).
             let mut metas = Vec::new();
-            for (host, imgs) in &script {
-                for p in imgs {
-                    let path = rewrite_gen(p, g);
-                    match read_meta(w, host, &path) {
-                        Ok(m) => metas.push(m),
-                        Err(reason) => {
-                            w.obs.metrics.inc("core.restart.rejected_images", g);
-                            rejected.push((path.clone(), reason.clone()));
-                            if strict {
-                                return Err(RestartError::ReplicaUnreachable { path, reason });
-                            }
-                            continue 'gens;
+            let mut bad: Vec<(String, String)> = Vec::new();
+            for (host, p) in &rec.images {
+                let path = image_at(p, g);
+                match read_meta(w, host, &path) {
+                    Ok(m) => metas.push(m),
+                    Err(reason) => bad.push((path, reason)),
+                }
+            }
+            if bad.is_empty() {
+                if let Some(only) = &self.only {
+                    metas = closed_subset(&metas, only)?;
+                }
+                let placement = place(w, &metas, self.topology.as_deref(), self.pack)?;
+                // Validate every image against the node that will read it —
+                // header, CRCs, region payloads, via the store's replica path.
+                for (node, idxs) in &placement {
+                    for &i in idxs {
+                        if let Err(e) = mtcp::verify_image(w, *node, &metas[i].path) {
+                            bad.push((metas[i].path.clone(), e.to_string()));
                         }
                     }
                 }
-            }
-            let metas = match &self.only {
-                Some(only) => closed_subset(&metas, only)?,
-                None => metas,
-            };
-            let placement = place(w, &metas, self.topology.as_deref(), self.pack)?;
-            // Validate every image against the node that will read it —
-            // header, CRCs, region payloads, via the store's replica path.
-            for (node, idxs) in &placement {
-                for &i in idxs {
-                    if let Err(e) = mtcp::verify_image(w, *node, &metas[i].path) {
-                        let reason = e.to_string();
-                        w.obs.metrics.inc("core.restart.rejected_images", g);
-                        rejected.push((metas[i].path.clone(), reason.clone()));
-                        if strict {
-                            return Err(RestartError::ReplicaUnreachable {
-                                path: metas[i].path.clone(),
-                                reason,
-                            });
-                        }
-                        continue 'gens;
-                    }
+                if bad.is_empty() {
+                    let by_node: BTreeMap<NodeId, Vec<String>> = placement
+                        .iter()
+                        .map(|(n, idxs)| {
+                            (*n, idxs.iter().map(|&i| metas[i].path.clone()).collect())
+                        })
+                        .collect();
+                    let pids = spawn_restart_procs(s, w, sim, by_node, g, self.only.is_some());
+                    return Ok(RestartOutcome {
+                        gen: g,
+                        pids,
+                        rejected,
+                        placement: placement_vpids(&placement, &metas),
+                    });
                 }
             }
-            let by_node: BTreeMap<NodeId, Vec<String>> = placement
-                .iter()
-                .map(|(n, idxs)| (*n, idxs.iter().map(|&i| metas[i].path.clone()).collect()))
-                .collect();
-            let pids = spawn_restart_procs(s, w, sim, by_node, g, self.only.is_some());
-            return Ok(RestartOutcome {
-                gen: g,
-                pids,
-                rejected,
-                placement: placement_vpids(&placement, &metas),
-            });
+            for _ in &bad {
+                w.obs.metrics.inc("core.restart.rejected_images", g);
+            }
+            if strict {
+                let (path, reason) = bad.swap_remove(0);
+                return Err(RestartError::ReplicaUnreachable { path, reason });
+            }
+            rejected.extend(bad);
         }
         Err(RestartError::NoUsableGeneration { rejected })
     }
@@ -353,27 +342,22 @@ impl RestartPlan {
         // 2. Plan: metadata for generation g, subset closure, placement.
         // When the chunk store is installed its per-pid generation index is
         // the source of truth (replica-served partial reads by pid);
-        // otherwise fall back to the restart script.
-        let script = script_groups(w, port);
-        if script.is_empty() {
-            return Err(RestartError::NoScript);
-        }
+        // otherwise fall back to the generation record.
+        let rec = GenRecord::read(w, port)?;
         let mut metas = Vec::new();
         let store_idx: BTreeMap<u32, String> = if ckptstore::enabled(w) {
             ckptstore::images_for_gen(w, g as u32)
         } else {
             BTreeMap::new()
         };
-        for (host, imgs) in &script {
-            for p in imgs {
-                let scripted = rewrite_gen(p, g);
-                let path = ckptstore::manifest::parse_vpid(&scripted)
-                    .and_then(|v| store_idx.get(&v).cloned())
-                    .unwrap_or(scripted);
-                match read_meta(w, host, &path) {
-                    Ok(m) => metas.push(m),
-                    Err(reason) => return Err(RestartError::ReplicaUnreachable { path, reason }),
-                }
+        for (host, p) in &rec.images {
+            let recorded = image_at(p, g);
+            let path = ckptstore::manifest::parse_vpid(&recorded)
+                .and_then(|v| store_idx.get(&v).cloned())
+                .unwrap_or(recorded);
+            match read_meta(w, host, &path) {
+                Ok(m) => metas.push(m),
+                Err(reason) => return Err(RestartError::ReplicaUnreachable { path, reason }),
             }
         }
         let movers = closed_subset(&metas, &only)?;
@@ -475,27 +459,6 @@ impl RestartPlan {
     }
 }
 
-/// Parse the restart script of the coordinator rooted at `port` into
-/// `(hostname, image paths)` groups. Empty when no generation committed.
-pub(crate) fn script_groups(w: &World, port: u16) -> Vec<(String, Vec<String>)> {
-    let path = crate::coord::restart_script_path(port);
-    let Ok(bytes) = w.shared_fs.read_all(&path) else {
-        return Vec::new();
-    };
-    let script = String::from_utf8(bytes).expect("script is utf-8");
-    let mut out = Vec::new();
-    for line in script.lines() {
-        let mut words = line.split_whitespace();
-        if words.next() != Some("ssh") {
-            continue;
-        }
-        let host = words.next().expect("host after ssh").to_string();
-        assert_eq!(words.next(), Some("dmtcp_restart"));
-        out.push((host, words.map(|s| s.to_string()).collect()));
-    }
-    out
-}
-
 /// Spawn one restart process per target node. Exactly one (the first)
 /// carries the plan announcement; `migrate` selects
 /// [`Msg::MigratePlan`](crate::proto::Msg::MigratePlan) semantics (movers
@@ -519,6 +482,8 @@ pub(crate) fn spawn_restart_procs(
         );
     }
     crate::launch::install_hook(w);
+    let cs = coord_shared_for(w, s.opts.coord_port);
+    cs.restart_mark = cs.gen_stats.len();
     let coord_host = w.node(s.opts.coord_node).hostname.clone();
     let total: u32 = by_node.values().map(|v| v.len() as u32).sum();
     let mut restart_pids = Vec::new();
@@ -547,14 +512,10 @@ pub(crate) fn spawn_restart_procs(
     restart_pids
 }
 
-/// The newest generation named by a restart script.
-fn newest_gen(script: &[(String, Vec<String>)]) -> u64 {
-    script
-        .iter()
-        .flat_map(|(_, imgs)| imgs.iter())
-        .filter_map(|p| crate::restart::parse_gen(p))
-        .max()
-        .unwrap_or(1)
+/// `path` retargeted at generation `gen`: fallback walks the record's
+/// images back one generation at a time.
+fn image_at(path: &str, gen: u64) -> String {
+    ckptstore::manifest::with_gen(path, gen as u32).unwrap_or_else(|| path.to_string())
 }
 
 /// Read one image's planning metadata from whichever node can resolve it:

@@ -4,8 +4,14 @@
 //! ```text
 //! dmtcp_checkpoint [options] <program>   → Session::start + Session::launch
 //! dmtcp_command --checkpoint             → Session::checkpoint_and_wait
-//! dmtcp_restart_script.sh                → Session::restart_from_script
+//! the coordinator's restart script       → RestartPlan::execute
+//!                                          + Session::wait_restart_done
 //! ```
+//!
+//! The coordinator's restart script is a typed generation record here
+//! ([`crate::restart::record`]); [`RestartPlan`] plans from it.
+//!
+//! [`RestartPlan`]: crate::restart::plan::RestartPlan
 //!
 //! Tests, examples, and the benchmark harness all drive checkpoints through
 //! this type, so they exercise the same protocol code paths.
@@ -16,7 +22,6 @@ use oskit::proc::sig;
 use oskit::program::Program;
 use oskit::world::{NodeId, OsSim, Pid, World};
 use simkit::Nanos;
-use std::collections::BTreeMap;
 
 /// A running DMTCP session (one coordinator + its computation).
 #[derive(Debug, Clone)]
@@ -115,56 +120,6 @@ impl Session {
         }
     }
 
-    /// Request a checkpoint and run the simulation until it *settles*:
-    /// either the stage-6 barrier is released (completed) or the
-    /// coordinator abandons the generation because a participant died
-    /// (aborted). Unlike [`Session::checkpoint_and_wait`], an abort is a
-    /// reportable outcome here, not a hang.
-    pub fn checkpoint_until_settled(
-        &self,
-        w: &mut World,
-        sim: &mut OsSim,
-        max_events: u64,
-    ) -> CkptOutcome {
-        let port = self.opts.coord_port;
-        let before = coord_shared_for(w, port).gen_stats.len();
-        self.request_checkpoint(w, sim);
-        let fired_start = sim.events_fired();
-        loop {
-            assert!(
-                sim.step(w),
-                "event queue drained before the checkpoint settled"
-            );
-            let settled = {
-                let cs = coord_shared_for(w, port);
-                cs.gen_stats.len() > before
-                    && cs
-                        .gen_stats
-                        .last()
-                        .map(|g| g.aborted || g.releases.contains_key(&stage::REFILLED))
-                        .unwrap_or(false)
-            };
-            if settled {
-                let gs = coord_shared_for(w, port)
-                    .gen_stats
-                    .last()
-                    .expect("pushed")
-                    .clone();
-                return if gs.aborted {
-                    CkptOutcome::Aborted(gs)
-                } else {
-                    CkptOutcome::Completed(gs)
-                };
-            }
-            assert!(
-                sim.events_fired() - fired_start < max_events,
-                "checkpoint neither completed nor aborted within {max_events} events \
-                 (virtual time now {:?})",
-                sim.now()
-            );
-        }
-    }
-
     /// The most recent generation stats.
     pub fn last_gen_stat(w: &mut World) -> Option<GenStat> {
         coord_shared(w).gen_stats.last().cloned()
@@ -257,127 +212,10 @@ impl Session {
         sim.run_until(w, sim.now() + Nanos::from_millis(1));
     }
 
-    /// Parse `dmtcp_restart_script.sh` into `(hostname, image paths)`.
-    #[deprecated(note = "use dmtcp::restart::plan::RestartPlan instead")]
-    pub fn parse_restart_script(w: &World) -> Vec<(String, Vec<String>)> {
-        crate::restart::plan::script_groups(w, crate::coord::COORD_PORT)
-    }
-
-    /// Parse the restart script written by the coordinator rooted at
-    /// `port` (each root writes its own script — see
-    /// [`crate::coord::restart_script_path`]).
-    #[deprecated(note = "use dmtcp::restart::plan::RestartPlan instead")]
-    pub fn parse_restart_script_for(w: &World, port: u16) -> Vec<(String, Vec<String>)> {
-        crate::restart::plan::script_groups(w, port)
-    }
-
-    /// `dmtcp_restart_script.sh`: restart the last checkpoint in (possibly
-    /// another) world. `remap` translates original hostnames to restart
-    /// nodes — identity for in-place restart, everything-to-one-node for
-    /// the paper's "continue on your laptop" use case. Returns the restart
-    /// process pids.
-    ///
-    /// The target world must already contain the image files (see
-    /// [`transplant_storage`]) and a running coordinator for `self`.
-    #[deprecated(note = "use dmtcp::restart::plan::RestartPlan instead")]
-    pub fn restart_from_script(
-        &self,
-        w: &mut World,
-        sim: &mut OsSim,
-        script: &[(String, Vec<String>)],
-        remap: &dyn Fn(&str) -> NodeId,
-        gen: u64,
-    ) -> Vec<Pid> {
-        // Group images by *target* node (migration may merge hosts).
-        let mut by_node: BTreeMap<NodeId, Vec<String>> = BTreeMap::new();
-        for (host, images) in script {
-            by_node
-                .entry(remap(host))
-                .or_default()
-                .extend(images.iter().cloned());
-        }
-        crate::restart::plan::spawn_restart_procs(self, w, sim, by_node, gen, false)
-    }
-
-    /// Restart with whole-generation fallback: validate every image of the
-    /// newest generation named by the restart script (header magic/CRC plus
-    /// every region payload); if *any* image of that generation fails
-    /// validation — torn write, bit rot, missing file — fall back to the
-    /// previous generation, down to generation 1. Returns which generation
-    /// was actually restarted plus every rejected image with its reason, or
-    /// a typed error when no complete generation survives on storage.
-    pub fn restart_resilient(
-        &self,
-        w: &mut World,
-        sim: &mut OsSim,
-        remap: &dyn Fn(&str) -> NodeId,
-    ) -> Result<RestartOutcome, RestartError> {
-        let script = crate::restart::plan::script_groups(w, self.opts.coord_port);
-        if script.is_empty() {
-            return Err(RestartError::NoScript);
-        }
-        let top = script
-            .iter()
-            .flat_map(|(_, imgs)| imgs.iter())
-            .filter_map(|p| crate::restart::parse_gen(p))
-            .max()
-            .unwrap_or(1);
-        let mut rejected = Vec::new();
-        for gen in (1..=top).rev() {
-            let candidate: Vec<(String, Vec<String>)> = script
-                .iter()
-                .map(|(h, imgs)| {
-                    (
-                        h.clone(),
-                        imgs.iter().map(|p| rewrite_gen(p, gen)).collect(),
-                    )
-                })
-                .collect();
-            let mut complete = true;
-            for (host, imgs) in &candidate {
-                let node = remap(host);
-                for p in imgs {
-                    if let Err(e) = mtcp::verify_image(w, node, p) {
-                        w.obs.metrics.inc("core.restart.rejected_images", gen);
-                        rejected.push((p.clone(), e.to_string()));
-                        complete = false;
-                    }
-                }
-            }
-            if !complete {
-                continue;
-            }
-            let mut by_node: BTreeMap<NodeId, Vec<String>> = BTreeMap::new();
-            for (host, images) in &candidate {
-                by_node
-                    .entry(remap(host))
-                    .or_default()
-                    .extend(images.iter().cloned());
-            }
-            let placement = by_node
-                .iter()
-                .map(|(n, imgs)| {
-                    let mut v: Vec<u32> = imgs
-                        .iter()
-                        .filter_map(|p| ckptstore::manifest::parse_vpid(p))
-                        .collect();
-                    v.sort_unstable();
-                    (*n, v)
-                })
-                .collect();
-            let pids = crate::restart::plan::spawn_restart_procs(self, w, sim, by_node, gen, false);
-            return Ok(RestartOutcome {
-                gen,
-                pids,
-                rejected,
-                placement,
-            });
-        }
-        Err(RestartError::NoUsableGeneration { rejected })
-    }
-
-    /// Run the simulation until the restart completes (restart-refill
-    /// barrier released for `gen`) on the default-port coordinator.
+    /// Run the simulation until the newest restart completes (its
+    /// restart-refill barrier for `gen` released) on the default-port
+    /// coordinator. An earlier restart of the same generation does not
+    /// count.
     pub fn wait_restart_done(w: &mut World, sim: &mut OsSim, gen: u64, max_events: u64) {
         Self::wait_restart_done_on(w, sim, crate::coord::COORD_PORT, gen, max_events)
     }
@@ -393,8 +231,8 @@ impl Session {
     ) {
         let start = sim.events_fired();
         loop {
-            let done = coord_shared_for(w, port)
-                .gen_stats
+            let cs = coord_shared_for(w, port);
+            let done = cs.gen_stats[cs.restart_mark..]
                 .iter()
                 .any(|g| g.gen == gen && g.releases.contains_key(&stage::RESTART_REFILLED));
             if done {
@@ -483,19 +321,7 @@ impl ExpectCkpt for Result<GenStat, CkptError> {
     }
 }
 
-/// How a requested checkpoint settled (see
-/// [`Session::checkpoint_until_settled`]).
-#[derive(Debug, Clone)]
-pub enum CkptOutcome {
-    /// The stage-6 barrier released; the generation's images are on disk.
-    Completed(GenStat),
-    /// A participant died mid-protocol; the coordinator rolled the
-    /// survivors back and the generation's images must not be trusted.
-    Aborted(GenStat),
-}
-
-/// A successful restart ([`crate::restart::plan::RestartPlan::execute`] or
-/// [`Session::restart_resilient`]).
+/// A successful [`crate::restart::plan::RestartPlan::execute`].
 #[derive(Debug, Clone)]
 pub struct RestartOutcome {
     /// The generation actually restarted (may be older than the newest).
@@ -514,8 +340,13 @@ pub struct RestartOutcome {
 /// Why a restart plan could not restart (or migrate) anything.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RestartError {
-    /// No restart script exists (no generation ever completed).
-    NoScript,
+    /// No generation record exists (no generation ever completed).
+    NoRecord,
+    /// The generation record on shared storage does not decode.
+    BadRecord {
+        /// What is wrong with it.
+        reason: String,
+    },
     /// Every candidate generation had at least one invalid image.
     NoUsableGeneration {
         /// Each rejected image with its validation error.
@@ -563,7 +394,10 @@ pub enum RestartError {
 impl std::fmt::Display for RestartError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RestartError::NoScript => write!(f, "no restart script on shared storage"),
+            RestartError::NoRecord => write!(f, "no generation record on shared storage"),
+            RestartError::BadRecord { reason } => {
+                write!(f, "unreadable generation record: {reason}")
+            }
             RestartError::NoUsableGeneration { rejected } => write!(
                 f,
                 "no complete checkpoint generation on storage ({} images rejected)",
@@ -590,23 +424,6 @@ impl std::fmt::Display for RestartError {
 }
 
 impl std::error::Error for RestartError {}
-
-/// Rewrite the generation number embedded in an image path
-/// (`…_gen<N>.dmtcp`) — the restart script names the newest generation,
-/// fallback retargets the same images one generation back.
-pub(crate) fn rewrite_gen(path: &str, gen: u64) -> String {
-    match path.rfind("_gen") {
-        Some(idx) => {
-            let digits_start = idx + 4;
-            let digits_end = path[digits_start..]
-                .find(|c: char| !c.is_ascii_digit())
-                .map(|off| digits_start + off)
-                .unwrap_or(path.len());
-            format!("{}{}{}", &path[..digits_start], gen, &path[digits_end..])
-        }
-        None => path.to_string(),
-    }
-}
 
 /// Copy checkpoint artifacts from one world to another: the shared
 /// filesystem always, and each node's local filesystem onto the same node

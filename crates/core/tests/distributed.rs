@@ -6,7 +6,7 @@ mod common;
 use common::*;
 use dmtcp::coord::{coord_shared, stage};
 use dmtcp::session::{run_for, transplant_storage};
-use dmtcp::{ExpectCkpt, Options, RestartPlan, Session};
+use dmtcp::{ExpectCkpt, Options, RestartError, RestartPlan, Session};
 use oskit::proc::ProcState;
 use oskit::world::NodeId;
 use simkit::Nanos;
@@ -81,10 +81,12 @@ fn checkpoint_mid_stream_then_continue() {
     assert_eq!(stat.participants, 2);
     assert!(stat.checkpoint_time().is_some());
 
-    // Images + restart script exist on the shared fs.
+    // Images + generation record exist on the shared fs.
     let images: Vec<_> = w.shared_fs.list_prefix("/shared/ckpt/").collect();
     assert_eq!(images.len(), 2, "one image per process: {images:?}");
-    assert!(w.shared_fs.exists("/shared/dmtcp_restart_script.sh"));
+    assert!(w
+        .shared_fs
+        .exists(&dmtcp::restart::record::path(s.opts.coord_port)));
 
     // The computation continues to the right answer.
     assert!(sim.run_bounded(&mut w, EV), "post-checkpoint deadlock");
@@ -141,6 +143,122 @@ fn kill_and_restart_in_same_world() {
         shared_result(&w, "/shared/server_result").as_deref(),
         Some(ref_server.as_str())
     );
+}
+
+#[test]
+fn each_restart_of_one_generation_waits_for_its_own_release() {
+    let rounds = 400;
+    let (ref_client, ref_server) = chain_reference(rounds);
+
+    let (mut w, mut sim) = cluster(2);
+    let s = Session::start(&mut w, &mut sim, opts_shared_dir());
+    launch_chain(&mut w, &mut sim, &s, rounds);
+    run_for(&mut w, &mut sim, Nanos::from_millis(40));
+    let gen = s
+        .checkpoint_and_wait(&mut w, &mut sim, EV)
+        .expect_ckpt()
+        .gen;
+
+    // Restart the same generation again and again, killing as soon as each
+    // wait returns. A wait that matched an earlier restart's release would
+    // return with this restart still in flight.
+    for round in 1..=4 {
+        s.kill_computation(&mut w, &mut sim);
+        RestartPlan::from_generation(&w, s.opts.coord_port, gen)
+            .expect("generation record written")
+            .execute(&s, &mut w, &mut sim)
+            .expect("identity restart");
+        Session::wait_restart_done(&mut w, &mut sim, gen, EV);
+        let done = coord_shared(&mut w)
+            .gen_stats
+            .iter()
+            .filter(|g| g.gen == gen && g.releases.contains_key(&stage::RESTART_REFILLED))
+            .count();
+        assert_eq!(
+            done, round,
+            "wait {round} returned before its restart completed"
+        );
+    }
+
+    // The last restart runs to the reference answers.
+    assert!(sim.run_bounded(&mut w, EV), "post-restart deadlock");
+    assert_eq!(
+        shared_result(&w, "/shared/client_result").as_deref(),
+        Some(ref_client.as_str())
+    );
+    assert_eq!(
+        shared_result(&w, "/shared/server_result").as_deref(),
+        Some(ref_server.as_str())
+    );
+}
+
+#[test]
+fn malformed_generation_record_is_a_typed_error() {
+    let (mut w, mut sim) = cluster(2);
+    let s = Session::start(&mut w, &mut sim, opts_shared_dir());
+    let port = s.opts.coord_port;
+    launch_chain(&mut w, &mut sim, &s, 400);
+    run_for(&mut w, &mut sim, Nanos::from_millis(40));
+    let gen = s
+        .checkpoint_and_wait(&mut w, &mut sim, EV)
+        .expect_ckpt()
+        .gen;
+    s.kill_computation(&mut w, &mut sim);
+
+    let path = dmtcp::restart::record::path(port);
+    let good = w
+        .shared_fs
+        .read_all(&path)
+        .expect("generation record written");
+    let mut other_version = good.clone();
+    other_version[0] = dmtcp::restart::record::VERSION + 1;
+    let cases = [
+        ("garbage", b"#!/bin/sh\nssh node00 dmtcp_restart\n".to_vec()),
+        ("truncated", good[..good.len() / 2].to_vec()),
+        ("wrong version", other_version),
+        ("empty", Vec::new()),
+    ];
+    for (what, bytes) in cases {
+        w.shared_fs
+            .write_all(&path, &bytes)
+            .expect("shared fs writable");
+        assert!(
+            matches!(
+                RestartPlan::from_generation(&w, port, gen),
+                Err(RestartError::BadRecord { .. })
+            ),
+            "{what} record must not plan"
+        );
+        for plan in [
+            RestartPlan::newest(),
+            RestartPlan::builder().resilient(true).build(),
+        ] {
+            assert!(
+                matches!(
+                    plan.execute(&s, &mut w, &mut sim),
+                    Err(RestartError::BadRecord { .. })
+                ),
+                "{what} record must not execute"
+            );
+        }
+    }
+    w.shared_fs.remove(&path).expect("record present");
+    assert!(matches!(
+        RestartPlan::newest().execute(&s, &mut w, &mut sim),
+        Err(RestartError::NoRecord)
+    ));
+
+    // Nothing was spawned; the intact record still restarts.
+    w.shared_fs
+        .write_all(&path, &good)
+        .expect("shared fs writable");
+    let out = RestartPlan::newest()
+        .execute(&s, &mut w, &mut sim)
+        .expect("intact record restarts");
+    assert_eq!(out.gen, gen);
+    Session::wait_restart_done(&mut w, &mut sim, gen, EV);
+    assert!(sim.run_bounded(&mut w, EV), "post-restart deadlock");
+    assert!(shared_result(&w, "/shared/client_result").is_some());
 }
 
 #[test]

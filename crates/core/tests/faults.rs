@@ -38,8 +38,8 @@ mod common;
 
 use common::*;
 use dmtcp::coord::stage;
-use dmtcp::session::{enable_flight_recorder, export_journal, run_for, CkptOutcome};
-use dmtcp::{ExpectCkpt, Options, Session};
+use dmtcp::session::{enable_flight_recorder, export_journal, run_for};
+use dmtcp::{CkptError, ExpectCkpt, Options, RestartPlan, Session};
 use faultkit::{FaultKind, FaultPlan};
 use obs::journal::{CLASS_FAULT, CLASS_NET, CLASS_STAGE};
 use oskit::world::{NodeId, OsSim, Pid, World};
@@ -539,11 +539,20 @@ fn drive_cell(
     assert_eq!(g1.gen, 1, "first generation must be 1");
     run_for(&mut *w, &mut *sim, Nanos::from_millis(2));
 
-    let outcome = s.checkpoint_until_settled(&mut *w, &mut *sim, budget);
+    // Completed or aborted are both outcomes a cell judges; only a
+    // checkpoint that never settles is fatal.
+    let outcome = match s.checkpoint_and_wait(&mut *w, &mut *sim, budget) {
+        Err(CkptError::BudgetExhausted { events }) => panic!(
+            "checkpoint neither completed nor aborted within {events} events \
+             (virtual time now {:?})",
+            sim.now()
+        ),
+        settled => settled,
+    };
     // In forked mode the stop-the-world phase has settled but the background
     // drain is still in flight; let it finish (or drain-abort, if the fault
     // kills a participant) while the fault is still armed.
-    let written2 = if cell.forked && matches!(outcome, CkptOutcome::Completed(_)) {
+    let written2 = if cell.forked && outcome.is_ok() {
         Session::wait_ckpt_written(&mut *w, &mut *sim, 2, budget).is_some()
     } else {
         false
@@ -569,14 +578,14 @@ fn drive_cell(
             // No process died, so the protocol must heal (retransmits,
             // duplicate-release resends) and complete.
             assert!(
-                matches!(outcome, CkptOutcome::Completed(_)),
+                outcome.is_ok(),
                 "lossy-network fault must not abort the generation \
                  (injected: {injected:?})"
             );
         }
         FaultKind::TornTruncate | FaultKind::TornBitFlip => {
             assert!(
-                matches!(outcome, CkptOutcome::Completed(_)),
+                outcome.is_ok(),
                 "torn-image faults kill no participant; the protocol itself \
                  completes (injected: {injected:?})"
             );
@@ -585,7 +594,7 @@ fn drive_cell(
             // Disk loss after the CHECKPOINTED barrier kills no participant
             // and the generation is already durable on the replica.
             assert!(
-                matches!(outcome, CkptOutcome::Completed(_)),
+                outcome.is_ok(),
                 "image-delete faults kill no participant; the protocol \
                  completes (injected: {injected:?})"
             );
@@ -594,7 +603,7 @@ fn drive_cell(
             // A kill at the final barrier lands after the generation is
             // already complete; at any earlier stage the coordinator must
             // abort rather than trust partial images.
-            if let CkptOutcome::Completed(g) = &outcome {
+            if let Ok(g) = &outcome {
                 assert_eq!(
                     cell.stage,
                     stage::REFILLED,
@@ -631,18 +640,10 @@ fn drive_cell(
         let _ = w.shared_fs.remove(p);
     }
 
-    let hosts: Vec<(String, NodeId)> = (0..w.nodes.len())
-        .map(|i| (w.nodes[i].hostname.clone(), NodeId(i as u32)))
-        .collect();
-    let remap = move |h: &str| {
-        hosts
-            .iter()
-            .find(|(n, _)| n == h)
-            .map(|(_, x)| *x)
-            .expect("known host")
-    };
-    let restored = s
-        .restart_resilient(&mut *w, &mut *sim, &remap)
+    let restored = RestartPlan::builder()
+        .resilient(true)
+        .build()
+        .execute(&s, &mut *w, &mut *sim)
         .expect("gen 1 completed cleanly, so a usable generation exists");
 
     if cell.forked {
@@ -943,18 +944,10 @@ fn run_relay_fault(kind: FaultKind) {
         let _ = w.shared_fs.remove(p);
     }
 
-    let hosts: Vec<(String, NodeId)> = (0..w.nodes.len())
-        .map(|i| (w.nodes[i].hostname.clone(), NodeId(i as u32)))
-        .collect();
-    let remap = move |h: &str| {
-        hosts
-            .iter()
-            .find(|(n, _)| n == h)
-            .map(|(_, x)| *x)
-            .expect("known host")
-    };
-    let restored = s
-        .restart_resilient(&mut w, &mut sim, &remap)
+    let restored = RestartPlan::builder()
+        .resilient(true)
+        .build()
+        .execute(&s, &mut w, &mut sim)
         .expect("gen 1 completed cleanly, so a usable generation exists");
     assert_eq!(
         restored.gen, 1,

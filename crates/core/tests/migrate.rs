@@ -434,10 +434,10 @@ fn plan_validation_yields_typed_errors() {
     let (mut w, mut sim) = world(2);
     let s = Session::start(&mut w, &mut sim, opts());
 
-    // Before any checkpoint: no script.
+    // Before any checkpoint: no generation record.
     assert!(matches!(
         RestartPlan::from_generation(&w, s.opts.coord_port, 1),
-        Err(RestartError::NoScript)
+        Err(RestartError::NoRecord)
     ));
 
     s.launch(

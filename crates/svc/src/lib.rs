@@ -630,17 +630,6 @@ impl Client {
             .cloned()
     }
 
-    /// Restart this session's newest usable generation (whole-generation
-    /// fallback, same semantics as [`dmtcp::Session::restart_resilient`]).
-    pub fn restart_resilient(
-        &self,
-        w: &mut World,
-        sim: &mut OsSim,
-        remap: &dyn Fn(&str) -> NodeId,
-    ) -> Result<dmtcp::session::RestartOutcome, dmtcp::session::RestartError> {
-        self.as_session(w).restart_resilient(w, sim, remap)
-    }
-
     /// SIGKILL this session's computation only (simulated failure).
     /// Unlike [`dmtcp::Session::kill_computation`] — which predates
     /// multi-tenancy and kills every traced process in the world — this
@@ -672,7 +661,8 @@ impl Client {
     }
 
     /// View this session as a [`dmtcp::Session`] (shared coordinator
-    /// machinery; useful for helpers that take the session type).
+    /// machinery; useful for helpers that take the session type, such as
+    /// [`dmtcp::RestartPlan::execute`]).
     pub fn as_session(&self, w: &mut World) -> dmtcp::Session {
         let shard = svc_shared(w, self.daemon.cfg.port)
             .sessions

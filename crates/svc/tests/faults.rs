@@ -8,6 +8,7 @@
 //! stage, so every phase of the protocol gets a kill.
 
 use dmtcp::coord::{coord_shared_for, stage, Coordinator};
+use dmtcp::RestartPlan;
 use oskit::program::{Program, Registry, Step};
 use oskit::world::{NodeId, OsSim, Pid, World};
 use oskit::{HwSpec, Kernel};
@@ -162,8 +163,10 @@ fn coord_kill_cell(stg: u8) {
     );
     assert!(new_coord.0 > 0);
     sim.run_until(&mut w, sim.now() + Nanos::from_millis(1));
-    let out = a
-        .restart_resilient(&mut w, &mut sim, &|_| NodeId(1))
+    let out = RestartPlan::builder()
+        .resilient(true)
+        .build()
+        .execute(&a.as_session(&mut w), &mut w, &mut sim)
         .expect("previous generation restartable");
     assert_eq!(
         out.gen, ga1.gen,

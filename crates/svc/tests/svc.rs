@@ -2,6 +2,7 @@
 //! observability namespacing, quotas, and restart through the service.
 
 use dmtcp::proto::RejectReason;
+use dmtcp::RestartPlan;
 use oskit::program::{Program, Registry, Step};
 use oskit::world::{NodeId, OsSim, World};
 use oskit::{HwSpec, Kernel};
@@ -231,8 +232,10 @@ fn victim_session_restarts_while_the_other_keeps_its_generation() {
 
     // Kill tenant A's computation; B is untouched.
     a.kill_computation(&mut w, &mut sim);
-    let out = a
-        .restart_resilient(&mut w, &mut sim, &|_| NodeId(1))
+    let out = RestartPlan::builder()
+        .resilient(true)
+        .build()
+        .execute(&a.as_session(&mut w), &mut w, &mut sim)
         .expect("restartable");
     assert_eq!(out.gen, ga.gen);
     dmtcp::Session::wait_restart_done_on(&mut w, &mut sim, a.shard_port(), ga.gen, EV);

@@ -93,7 +93,7 @@ fn main() {
         // compared on its own.
         let _ = w.shared_fs.remove("/shared/heartbeat");
         RestartPlan::from_generation(&w, session.opts.coord_port, stat.gen)
-            .expect("restart script written")
+            .expect("generation record written")
             .execute(&session, &mut w, &mut sim)
             .expect("replay restart");
         Session::wait_restart_done(&mut w, &mut sim, stat.gen, 20_000_000);

@@ -49,7 +49,7 @@ fn main() {
     session.kill_computation(&mut w, &mut sim);
     println!("session killed; restoring workspace…");
     RestartPlan::from_generation(&w, session.opts.coord_port, last.gen)
-        .expect("interval checkpoints wrote a restart script")
+        .expect("interval checkpoints wrote a generation record")
         .execute(&session, &mut w, &mut sim)
         .expect("workspace restore");
     Session::wait_restart_done(&mut w, &mut sim, last.gen, EV);

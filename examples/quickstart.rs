@@ -1,6 +1,6 @@
 //! Quickstart: checkpoint a two-process computation mid-stream, kill it,
 //! and restart it — the `dmtcp_checkpoint` / `dmtcp_command --checkpoint` /
-//! `dmtcp_restart_script.sh` workflow of §3, in ~80 lines.
+//! restart-script workflow of §3, in ~80 lines.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -170,10 +170,11 @@ fn main() {
         w.live_procs()
     );
 
-    // dmtcp_restart_script.sh, as a typed plan: newest generation back
+    // The paper's restart script, as a typed plan read from the
+    // coordinator's generation record: the checkpointed generation back
     // onto the hosts that wrote it.
     RestartPlan::from_generation(&w, session.opts.coord_port, stat.gen)
-        .expect("restart script written")
+        .expect("generation record written")
         .execute(&session, &mut w, &mut sim)
         .expect("identity restart");
     Session::wait_restart_done(&mut w, &mut sim, stat.gen, 10_000_000);

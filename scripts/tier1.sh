@@ -32,6 +32,9 @@ stage_test() {
     # The matrix is a stage of its own; skip it here so a full pipeline run
     # executes each cell exactly once.
     DMTCP_FAULT_SKIP_DEFAULT=1 cargo test -q --workspace
+    echo "== perfbench build + unit tests (compiles against the crates/* APIs) =="
+    cargo build --release --manifest-path perfbench/Cargo.toml
+    cargo test -q --manifest-path perfbench/Cargo.toml
 }
 
 stage_faults() {
