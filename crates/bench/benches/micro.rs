@@ -73,22 +73,39 @@ fn selected(name: &str) -> bool {
     filters.is_empty() || filters.iter().any(|f| name.contains(f.as_str()))
 }
 
+/// The IdleHog ballast shape (`apps::memhog`): one pseudo-random byte
+/// repeated for every 512-byte run — what a `store-cycle` restart decodes.
+fn ballast(len: usize) -> Vec<u8> {
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    (0..len)
+        .map(|j| {
+            if j % 512 == 0 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+            }
+            (x >> 56) as u8
+        })
+        .collect()
+}
+
 fn bench_szip() {
     let len = 1usize << 20;
-    for (name, profile) in [
-        ("zeros", FillProfile::Zeros),
-        ("text", FillProfile::Text),
-        ("code", FillProfile::Code),
-        ("random", FillProfile::Random),
-    ] {
-        let data = profile.bytes(7, len);
+    let inputs = [
+        ("zeros", FillProfile::Zeros.bytes(7, len)),
+        ("text", FillProfile::Text.bytes(7, len)),
+        ("code", FillProfile::Code.bytes(7, len)),
+        ("random", FillProfile::Random.bytes(7, len)),
+        ("ballast", ballast(len)),
+    ];
+    for (name, data) in &inputs {
         bench(
             &format!("szip/compress/{name}"),
             Some(len as u64),
             || (),
-            |_| szip::compress(&data),
+            |_| szip::compress(data),
         );
-        let comp = szip::compress(&data);
+        let comp = szip::compress(data);
         bench(
             &format!("szip/decompress/{name}"),
             Some(len as u64),
@@ -99,13 +116,19 @@ fn bench_szip() {
 }
 
 fn bench_crc() {
-    let data = FillProfile::Code.bytes(3, 1 << 20);
-    bench(
-        "crc32/1MiB",
-        Some(data.len() as u64),
-        || (),
-        |_| szip::crc32(&data),
-    );
+    for (name, len) in [
+        ("64KiB", 64usize << 10),
+        ("1MiB", 1 << 20),
+        ("32MiB", 32 << 20),
+    ] {
+        let data = FillProfile::Code.bytes(3, len);
+        bench(
+            &format!("crc32/{name}"),
+            Some(len as u64),
+            || (),
+            |_| szip::crc32(&data),
+        );
+    }
 }
 
 struct Holder {

@@ -12,6 +12,7 @@ use oskit::mem::{Content, RegionKind};
 use oskit::proc::ThreadState;
 use oskit::world::{NodeId, Pid, World};
 use simkit::Nanos;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -130,7 +131,7 @@ pub fn verify_image(w: &World, node: NodeId, path: &str) -> Result<CkptImage, Im
                 let stored = cursor
                     .take_real(*comp_len as usize)
                     .ok_or_else(|| RestoreError::BadPayload(rm.name.clone()))?;
-                let raw = unpack_real(&stored, img.compressed)
+                let raw = unpack_real(stored, img.compressed)
                     .map_err(|_| RestoreError::BadPayload(rm.name.clone()))?;
                 if szip::crc32(&raw) != rm.crc {
                     return Err(RestoreError::CrcMismatch {
@@ -170,8 +171,7 @@ pub fn restore_into(
     // Walk payload chunks in lockstep with the region table.
     let (blob, fetched_from) = resolve_blob(w, node, path)?;
     let image_bytes = blob.len();
-    let payload_owned = blob.chunks().to_vec();
-    let mut cursor = BlobCursor::new(&payload_owned);
+    let mut cursor = BlobCursor::new(blob.chunks());
     // Skip the header bytes within the first chunk.
     let head = cursor
         .peek_real()
@@ -195,7 +195,7 @@ pub fn restore_into(
                 let stored = cursor
                     .take_real(*comp_len as usize)
                     .ok_or_else(|| RestoreError::BadPayload(rm.name.clone()))?;
-                let raw = unpack_real(&stored, img.compressed)
+                let raw = unpack_real(stored, img.compressed)
                     .map_err(|_| RestoreError::BadPayload(rm.name.clone()))?;
                 if szip::crc32(&raw) != rm.crc {
                     return Err(RestoreError::CrcMismatch {
@@ -208,14 +208,14 @@ pub fn restore_into(
                     rm.name.clone(),
                     rm.kind.clone(),
                     rm.prot,
-                    Content::Real(Rc::new(raw)),
+                    Content::Real(Rc::new(raw.into_owned())),
                 );
             }
             StoredAs::Shared { backing, comp_len } => {
                 let stored = cursor
                     .take_real(*comp_len as usize)
                     .ok_or_else(|| RestoreError::BadPayload(rm.name.clone()))?;
-                let raw = unpack_real(&stored, img.compressed)
+                let raw = unpack_real(stored, img.compressed)
                     .map_err(|_| RestoreError::BadPayload(rm.name.clone()))?;
                 if szip::crc32(&raw) != rm.crc {
                     return Err(RestoreError::CrcMismatch {
@@ -224,7 +224,7 @@ pub fn restore_into(
                         offset: region_off,
                     });
                 }
-                let seg = restore_shared_segment(w, node, backing, raw);
+                let seg = restore_shared_segment(w, node, backing, raw.into_owned());
                 new_mem.map(
                     rm.name.clone(),
                     RegionKind::Shm {
@@ -373,11 +373,13 @@ fn restore_shared_segment(
     seg
 }
 
-fn unpack_real(stored: &[u8], compressed: bool) -> Result<Vec<u8>, ()> {
+/// A region's raw bytes from its stored payload: decompressed, or the
+/// payload itself (borrowed) when the image is uncompressed.
+fn unpack_real(stored: &[u8], compressed: bool) -> Result<Cow<'_, [u8]>, ()> {
     if compressed {
-        szip::decompress(stored).map_err(|_| ())
+        szip::decompress(stored).map(Cow::Owned).map_err(|_| ())
     } else {
-        Ok(stored.to_vec())
+        Ok(Cow::Borrowed(stored))
     }
 }
 
@@ -409,14 +411,10 @@ impl<'a> BlobCursor<'a> {
         self.normalize();
     }
 
-    fn take_real(&mut self, n: usize) -> Option<Vec<u8>> {
-        let b = self.peek_real()?;
-        if b.len() < n {
-            return None;
-        }
-        let out = b[..n].to_vec();
+    fn take_real(&mut self, n: usize) -> Option<&'a [u8]> {
+        let b = self.peek_real()?.get(..n)?;
         self.skip_real(n);
-        Some(out)
+        Some(b)
     }
 
     fn take_virtual(&mut self, expect_len: u64) -> Option<()> {

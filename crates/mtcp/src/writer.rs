@@ -345,6 +345,9 @@ struct CaptureOut {
 /// (Pure data work on a frozen address space; timing charged at commit.)
 fn capture_planned(mem: &AddressSpace, compressed: bool, plan: &Plan) -> CaptureOut {
     let estimator = SizeEstimator::default();
+    // One counting compressor sizes every synthetic region of the capture,
+    // so its scratch space is allocated once rather than per region.
+    let mut sizer = szip::Compressor::counting();
     let mut out = CaptureOut {
         ids: Vec::new(),
         regions: Vec::new(),
@@ -369,7 +372,8 @@ fn capture_planned(mem: &AddressSpace, compressed: bool, plan: &Plan) -> Capture
             }
         }
         out.captured_raw_bytes += raw_len;
-        let (meta, payload, packed) = capture_one(region, raw_len, compressed, &estimator);
+        let (meta, payload, packed) =
+            capture_one(region, raw_len, compressed, &estimator, &mut sizer);
         if let Some(stored_len) = packed {
             out.comp_in += raw_len;
             out.comp_out += stored_len;
@@ -454,7 +458,12 @@ fn capture_one(
     raw_len: u64,
     compressed: bool,
     estimator: &SizeEstimator,
+    sizer: &mut szip::Compressor,
 ) -> (RegionMeta, Payload, Option<u64>) {
+    let mut size = |bytes: &[u8]| {
+        sizer.write(bytes);
+        sizer.finish_len()
+    };
     match &region.content {
         Content::Real(bytes) => {
             let (stored_bytes, crc) = pack_real(bytes, compressed);
@@ -507,16 +516,13 @@ fn capture_one(
                 (*len, false)
             } else if estimator.should_sample(*len) {
                 let sample = profile.bytes(*seed, estimator.sample_len as usize);
-                let sample_comp = szip::compressed_len(&sample);
+                let sample_comp = size(&sample);
                 (
                     estimator.extrapolate(*len, sample.len() as u64, sample_comp),
                     true,
                 )
             } else {
-                (
-                    szip::compressed_len(&profile.bytes(*seed, *len as usize)),
-                    false,
-                )
+                (size(&profile.bytes(*seed, *len as usize)), false)
             };
             let stored = StoredAs::Synthetic {
                 seed: *seed,

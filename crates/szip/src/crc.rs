@@ -12,9 +12,12 @@ pub struct Crc32 {
 
 const POLY: u32 = 0xEDB8_8320;
 
-// Build the byte table at compile time so there is no runtime init to race.
-const TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slice-by-16 tables, built at compile time so there is no runtime init
+/// to race. `TABLES[0]` is the classic bytewise table; `TABLES[k][b]` is
+/// the CRC contribution of byte `b` followed by `k` zero bytes, so sixteen
+/// lookups advance the state by sixteen input bytes at once.
+const TABLES: [[u32; 256]; 16] = {
+    let mut t = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -23,10 +26,20 @@ const TABLE: [u32; 256] = {
             c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 };
 
 impl Default for Crc32 {
@@ -41,11 +54,32 @@ impl Crc32 {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
-    /// Absorb bytes.
+    /// Absorb bytes. Any chunking of the input gives the same CRC.
     pub fn update(&mut self, bytes: &[u8]) {
+        let t = &TABLES;
         let mut c = self.state;
-        for &b in bytes {
-            c = TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+        let mut blocks = bytes.chunks_exact(16);
+        for b in &mut blocks {
+            let a = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            c = t[15][(a & 0xff) as usize]
+                ^ t[14][((a >> 8) & 0xff) as usize]
+                ^ t[13][((a >> 16) & 0xff) as usize]
+                ^ t[12][(a >> 24) as usize]
+                ^ t[11][b[4] as usize]
+                ^ t[10][b[5] as usize]
+                ^ t[9][b[6] as usize]
+                ^ t[8][b[7] as usize]
+                ^ t[7][b[8] as usize]
+                ^ t[6][b[9] as usize]
+                ^ t[5][b[10] as usize]
+                ^ t[4][b[11] as usize]
+                ^ t[3][b[12] as usize]
+                ^ t[2][b[13] as usize]
+                ^ t[1][b[14] as usize]
+                ^ t[0][b[15] as usize];
+        }
+        for &b in blocks.remainder() {
+            c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
         }
         self.state = c;
     }

@@ -8,10 +8,10 @@
 //! RunCMS's 680 MB → 225 MB image — emerge from the data rather than being
 //! hard-coded.
 //!
-//! Format: a 4-byte magic, then independent blocks of up to 256 KiB input
+//! Format: a 4-byte magic, then independent blocks of up to 64 KiB input
 //! each: `raw_len varint · kind u8 (0 = stored, 1 = lzss) · payload_len
 //! varint · payload`. Blocks that would expand are stored raw, so worst-case
-//! overhead is ~6 bytes per 256 KiB. The per-block window reset costs a few
+//! overhead is ~7 bytes per 64 KiB. The per-block window reset costs a few
 //! percent of ratio versus gzip's sliding window but makes streaming and
 //! random-access verification trivial.
 

@@ -27,6 +27,27 @@ fn hash3(data: &[u8], i: usize) -> usize {
     ((v.wrapping_mul(0x9E37_79B1)) >> (32 - HASH_BITS)) as usize
 }
 
+/// Length of the common prefix of `data[a..]` and `data[b..]`, capped at
+/// `limit` (`a < b`, `b + limit <= data.len()`). Compares eight bytes per
+/// step: the first differing byte of two little-endian words is the lowest
+/// set byte of their XOR.
+#[inline]
+fn match_len(data: &[u8], a: usize, b: usize, limit: usize) -> usize {
+    let word = |p: usize| u64::from_le_bytes(data[p..p + 8].try_into().expect("8 bytes"));
+    let mut l = 0usize;
+    while l + 8 <= limit {
+        let diff = word(a + l) ^ word(b + l);
+        if diff != 0 {
+            return l + (diff.trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    while l < limit && data[a + l] == data[b + l] {
+        l += 1;
+    }
+    l
+}
+
 /// Sink for compressed output: a real buffer or a byte counter, so the
 /// simulator can size multi-gigabyte images without materializing them.
 pub trait Sink {
@@ -148,10 +169,7 @@ pub fn compress_block<S: Sink>(input: &[u8], scratch: &mut Scratch, out: &mut S)
                 debug_assert!(c < i);
                 // Quick reject on the byte just past the current best.
                 if best_len == 0 || input[c + best_len] == input[i + best_len] {
-                    let mut l = 0usize;
-                    while l < limit && input[c + l] == input[i + l] {
-                        l += 1;
-                    }
+                    let l = match_len(input, c, i, limit);
                     if l > best_len {
                         best_len = l;
                         best_off = i - c;
@@ -220,6 +238,11 @@ pub enum BlockError {
 }
 
 /// Decompress one block; `raw_len` is the declared decompressed size.
+///
+/// Matches are copied in bulk: a non-overlapping match is one
+/// `extend_from_within`, a run (offset 1) is one `resize`, and any other
+/// overlapping match doubles the copied span each step — byte for byte the
+/// same output as a one-byte-at-a-time copy.
 pub fn decompress_block(
     payload: &[u8],
     raw_len: usize,
@@ -227,6 +250,7 @@ pub fn decompress_block(
 ) -> Result<(), BlockError> {
     let base = out.len();
     let target = base + raw_len;
+    out.reserve(raw_len);
     let mut i = 0usize;
     while out.len() < target {
         if i >= payload.len() {
@@ -234,40 +258,58 @@ pub fn decompress_block(
         }
         let ctrl = payload[i];
         i += 1;
+        if ctrl == 0 && i + 8 <= payload.len() && out.len() + 8 <= target {
+            // Eight literals in a row.
+            out.extend_from_slice(&payload[i..i + 8]);
+            i += 8;
+            continue;
+        }
         for bit in 0..8 {
-            if out.len() >= target {
+            let pos = out.len();
+            if pos >= target {
                 break;
             }
-            if ctrl & (1 << bit) != 0 {
-                if i + 3 > payload.len() {
-                    return Err(BlockError::Truncated);
-                }
-                let off = payload[i] as usize | ((payload[i + 1] as usize) << 8);
-                let len = payload[i + 2] as usize + MIN_MATCH;
-                i += 3;
-                let pos = out.len();
-                if off == 0 || off > pos - base {
-                    return Err(BlockError::BadOffset { at: pos });
-                }
-                // Overlapping copy (off may be < len), byte at a time.
-                for k in 0..len {
-                    let b = out[pos - off + k];
-                    out.push(b);
-                }
-            } else {
+            if ctrl & (1 << bit) == 0 {
                 if i >= payload.len() {
                     return Err(BlockError::Truncated);
                 }
                 out.push(payload[i]);
                 i += 1;
+                continue;
+            }
+            if i + 3 > payload.len() {
+                return Err(BlockError::Truncated);
+            }
+            let off = payload[i] as usize | ((payload[i + 1] as usize) << 8);
+            let len = payload[i + 2] as usize + MIN_MATCH;
+            i += 3;
+            if off == 0 || off > pos - base {
+                return Err(BlockError::BadOffset { at: pos });
+            }
+            if len > target - pos {
+                // The match runs past the declared size: the block ends here.
+                return Err(BlockError::WrongLength {
+                    expected: raw_len,
+                    got: pos - base + len,
+                });
+            }
+            let start = pos - off;
+            if off >= len {
+                out.extend_from_within(start..start + len);
+            } else if off == 1 {
+                out.resize(pos + len, out[start]);
+            } else {
+                // `out[start..]` repeats with period `off`, and `copied`
+                // stays a multiple of it until the last step, so each step
+                // may append everything from `start` on.
+                let mut copied = 0;
+                while copied < len {
+                    let n = (len - copied).min(off + copied);
+                    out.extend_from_within(start..start + n);
+                    copied += n;
+                }
             }
         }
-    }
-    if out.len() != target {
-        return Err(BlockError::WrongLength {
-            expected: raw_len,
-            got: out.len() - base,
-        });
     }
     Ok(())
 }

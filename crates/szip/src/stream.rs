@@ -43,10 +43,13 @@ enum Output {
     Count(Counter),
 }
 
-/// Streaming compressor.
+/// Streaming compressor. Its match-finder scratch and block body buffer
+/// are allocated once and reused for every block it compresses.
 pub struct Compressor {
     pending: Vec<u8>,
     scratch: Scratch,
+    /// One block's LZSS body, before the stored-or-lzss decision.
+    body: Vec<u8>,
     out: Output,
     raw_in: u64,
 }
@@ -65,6 +68,7 @@ impl Compressor {
         Compressor {
             pending: Vec::with_capacity(BLOCK),
             scratch: Scratch::new(),
+            body: Vec::new(),
             out: Output::Buffer(out),
             raw_in: 0,
         }
@@ -75,6 +79,7 @@ impl Compressor {
         Compressor {
             pending: Vec::with_capacity(BLOCK),
             scratch: Scratch::new(),
+            body: Vec::new(),
             out: Output::Count(Counter(MAGIC.len() as u64)),
             raw_in: 0,
         }
@@ -105,11 +110,12 @@ impl Compressor {
             return;
         }
         // Trial-compress into a counter first when we only need sizes;
-        // otherwise compress into a scratch buffer and decide stored/lzss.
+        // otherwise compress into the body buffer and decide stored/lzss.
         match &mut self.out {
             Output::Buffer(out) => {
-                let mut body = Vec::with_capacity(raw.len() / 2);
-                lzss::compress_block(&raw, &mut self.scratch, &mut body);
+                let body = &mut self.body;
+                body.clear();
+                lzss::compress_block(&raw, &mut self.scratch, body);
                 put_varint(out, raw.len() as u64);
                 if body.len() >= raw.len() {
                     out.push(0); // stored
@@ -118,7 +124,7 @@ impl Compressor {
                 } else {
                     out.push(1); // lzss
                     put_varint(out, body.len() as u64);
-                    out.extend_from_slice(&body);
+                    out.extend_from_slice(body);
                 }
             }
             Output::Count(c) => {
@@ -143,12 +149,19 @@ impl Compressor {
         }
     }
 
-    /// Finish and return only the compressed size.
-    pub fn finish_len(mut self) -> u64 {
+    /// Finish the stream and return only its compressed size. The
+    /// compressor is then empty and ready for the next stream, keeping its
+    /// buffers, so a loop of sizings allocates its scratch space once.
+    pub fn finish_len(&mut self) -> u64 {
         self.flush_block();
-        match self.out {
-            Output::Buffer(v) => v.len() as u64,
-            Output::Count(c) => c.0,
+        self.raw_in = 0;
+        match &mut self.out {
+            Output::Buffer(v) => {
+                let n = v.len() as u64;
+                v.truncate(MAGIC.len());
+                n
+            }
+            Output::Count(c) => std::mem::replace(c, Counter(MAGIC.len() as u64)).0,
         }
     }
 }
@@ -324,6 +337,24 @@ mod tests {
             d.write(chunk).unwrap();
         }
         assert_eq!(d.finish().unwrap(), input);
+    }
+
+    #[test]
+    fn reused_compressor_sizes_each_stream_afresh() {
+        let inputs: Vec<Vec<u8>> = (0..4usize)
+            .map(|k| {
+                (0..100_000 + k * 7_000)
+                    .map(|i| (i * (k + 1) % 253) as u8)
+                    .collect()
+            })
+            .collect();
+        for mut c in [Compressor::counting(), Compressor::new()] {
+            for input in &inputs {
+                c.write(input);
+                assert_eq!(c.finish_len(), crate::compressed_len(input));
+                assert_eq!(c.raw_len(), 0);
+            }
+        }
     }
 
     #[test]

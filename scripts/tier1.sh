@@ -48,6 +48,8 @@ stage_bench() {
     ./target/release/ckptstore --smoke
     echo "== downtime smoke bench (perceived vs total checkpoint time) =="
     ./target/release/downtime --smoke
+    echo "== szip kernel micro bench (smoke, no gate) =="
+    cargo bench -p dmtcp-bench -- szip crc32
     echo "== bench-regression gate =="
     scripts/bench_gate.sh self-test
     scripts/bench_gate.sh compare
