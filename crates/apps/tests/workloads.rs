@@ -127,7 +127,7 @@ fn nas_cg_survives_checkpoint_kill_restart() {
         .expect("restart script written")
         .execute(&s, &mut w, &mut sim)
         .expect("identity restart");
-    Session::wait_restart_done(&mut w, &mut sim, gen, EV);
+    s.wait_restart_done(&mut w, &mut sim, gen, EV);
     assert!(sim.run_bounded(&mut w, EV), "restored CG deadlocked");
     assert_eq!(
         nas_result(&w, NasKernel::Cg).expect("finished"),

@@ -53,7 +53,8 @@ fn measure(w: &mut World, sim: &mut OsSim, s: &Session, reps: usize, gap: Nanos)
     let mut total = 0.0;
     for _ in 0..reps {
         let g = s.checkpoint_and_wait(w, sim, EV).expect_ckpt();
-        let g: GenStat = Session::wait_ckpt_written(w, sim, g.gen, EV)
+        let g: GenStat = s
+            .wait_ckpt_written(w, sim, g.gen, EV)
             .expect("no faults armed: drain completes");
         pause += g.total_pause().expect("refilled").as_secs_f64();
         total += g.written_time().expect("written").as_secs_f64();

@@ -105,7 +105,8 @@ fn measure_full_cycle(reps: usize) -> f64 {
     for _ in 0..reps {
         let t0 = sim.now();
         let g = s.checkpoint_and_wait(&mut w, &mut sim, EV).expect_ckpt();
-        Session::wait_ckpt_written(&mut w, &mut sim, g.gen, EV).expect("generation committed");
+        s.wait_ckpt_written(&mut w, &mut sim, g.gen, EV)
+            .expect("generation committed");
         s.kill_computation(&mut w, &mut sim);
         RestartPlan::builder()
             .generation(g.gen)
@@ -114,7 +115,7 @@ fn measure_full_cycle(reps: usize) -> f64 {
             .build()
             .execute(&s, &mut w, &mut sim)
             .expect("heterogeneous restart");
-        Session::wait_restart_done(&mut w, &mut sim, g.gen, EV);
+        s.wait_restart_done(&mut w, &mut sim, g.gen, EV);
         total += (sim.now() - t0).as_secs_f64();
         run_for(&mut w, &mut sim, Nanos::from_millis(50));
     }

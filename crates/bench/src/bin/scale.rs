@@ -151,7 +151,8 @@ fn run_point(topo: Topology, n: usize, reps: usize) -> Row {
     let mut worst_stage = 0.0f64;
     for _ in 0..reps {
         let g = s.checkpoint_and_wait(&mut w, &mut sim, EV).expect_ckpt();
-        let g: GenStat = Session::wait_ckpt_written(&mut w, &mut sim, g.gen, EV)
+        let g: GenStat = s
+            .wait_ckpt_written(&mut w, &mut sim, g.gen, EV)
             .expect("no faults armed: the write settles");
         assert_eq!(g.participants as usize, n, "every process checkpointed");
         ckpt += g.checkpoint_time().expect("complete").as_secs_f64();

@@ -115,7 +115,7 @@ fn run_point(shards: u16, window_s: f64) -> Row {
             .expect("under the admission ceiling");
         for p in 0..PROCS_PER_SESSION {
             let node = 1 + ((s as usize * PROCS_PER_SESSION + p) % (NODES - 1));
-            c.launch(
+            c.session.launch(
                 &mut w,
                 &mut sim,
                 NodeId(node as u32),

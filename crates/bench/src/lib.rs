@@ -315,7 +315,7 @@ pub fn kill_and_measure_restart(w: &mut World, sim: &mut OsSim, s: &Session) -> 
         .expect("generation record written")
         .execute(s, w, sim)
         .expect("identity restart");
-    Session::wait_restart_done(w, sim, gen, EV);
+    s.wait_restart_done(w, sim, gen, EV);
     let g = coord_shared(w)
         .gen_stats
         .iter()

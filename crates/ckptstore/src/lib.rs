@@ -34,11 +34,7 @@ mod source;
 pub mod tenant;
 
 use oskit::world::World;
-use std::cell::RefCell;
 use std::rc::Rc;
-
-/// `World::ext_slots` key holding the store's [`Config`].
-pub const SLOT: &str = "ckptstore-state";
 
 /// Store tuning knobs.
 #[derive(Debug, Clone)]
@@ -64,10 +60,9 @@ impl Default for Config {
 }
 
 /// The chunk store as an [`mtcp::ImageStore`] implementation: commits
-/// route through [`sink`], resolves through [`source`], both reading the
-/// live [`Config`] so reconfiguration takes effect without reinstalling.
+/// route through [`sink`], resolves through [`source`].
 struct ChunkStore {
-    config: Rc<RefCell<Config>>,
+    config: Config,
 }
 
 impl mtcp::ImageStore for ChunkStore {
@@ -79,14 +74,7 @@ impl mtcp::ImageStore for ChunkStore {
         path: &str,
         blob: &oskit::fs::Blob,
     ) -> mtcp::SinkCommit {
-        sink::commit(
-            &self.config.borrow().clone(),
-            w,
-            work_start,
-            node,
-            path,
-            blob,
-        )
+        sink::commit(&self.config, w, work_start, node, path, blob)
     }
 
     fn resolve(
@@ -115,31 +103,29 @@ impl mtcp::ImageStore for ChunkStore {
 /// commits through the chunk store and every image read resolves through
 /// it. Idempotent; a second call replaces the configuration.
 pub fn install(w: &mut World, config: Config) {
-    let state = Rc::new(RefCell::new(config));
-    w.ext_slots
-        .insert(SLOT.to_string(), Box::new(state.clone()));
-    mtcp::store::install(w, Rc::new(ChunkStore { config: state }));
+    w.slots.set(Installed(config.clone()));
+    mtcp::store::install(w, Rc::new(ChunkStore { config }));
 }
+
+/// The world slot holding the installed [`Config`].
+struct Installed(Config);
 
 /// Remove the store; `mtcp` reverts to plain-file images. Already-stored
 /// images stay resolvable only until the hooks are gone, so only uninstall
 /// between computations.
 pub fn uninstall(w: &mut World) {
     mtcp::store::uninstall(w);
-    w.ext_slots.remove(SLOT);
+    w.slots.take::<Installed>();
 }
 
 /// Whether the store is installed in this world.
 pub fn enabled(w: &World) -> bool {
-    w.ext_slots.contains_key(SLOT)
+    w.slots.get::<Installed>().is_some()
 }
 
 /// The installed configuration, if any.
 pub fn config(w: &World) -> Option<Config> {
-    w.ext_slots
-        .get(SLOT)
-        .and_then(|b| b.downcast_ref::<Rc<RefCell<Config>>>())
-        .map(|rc| rc.borrow().clone())
+    w.slots.get::<Installed>().map(|s| s.0.clone())
 }
 
 /// Logical image paths committed for generation `gen`, keyed by the
@@ -256,6 +242,32 @@ mod tests {
             1,
             vec![],
         )
+    }
+
+    #[test]
+    fn install_and_uninstall_own_both_slots() {
+        let mut w = World::new(HwSpec::cluster(), 1, Registry::new());
+        assert!(!enabled(&w) && mtcp::store::installed(&w).is_none());
+        install(&mut w, Config::default());
+        install(
+            &mut w,
+            Config {
+                replicas: 0,
+                ..Config::default()
+            },
+        );
+        assert_eq!(
+            config(&w).map(|c| c.replicas),
+            Some(0),
+            "reinstall replaces"
+        );
+        assert!(mtcp::store::installed(&w).is_some());
+        uninstall(&mut w);
+        assert!(config(&w).is_none() && !enabled(&w));
+        assert!(
+            mtcp::store::installed(&w).is_none(),
+            "uninstall reverts mtcp to plain-file images"
+        );
     }
 
     #[test]

@@ -32,13 +32,14 @@ pub fn is_running_under_dmtcp(k: &mut Kernel<'_>) -> bool {
     hijack_of(k.w, pid).is_some()
 }
 
-/// Ask the coordinator to checkpoint the whole computation.
+/// Ask the coordinator to checkpoint the whole computation: the root
+/// coordinator this process answers to (a dmtcpd tenant's shard).
 pub fn request_checkpoint(k: &mut Kernel<'_>) -> bool {
     let pid = k.pid;
-    if hijack_of(k.w, pid).is_none() {
+    let Some(port) = hijack_of(k.w, pid).map(|h| h.root_port) else {
         return false;
-    }
-    crate::coord::request_checkpoint(k.w, k.sim);
+    };
+    crate::coord::request_checkpoint(k.w, k.sim, port);
     true
 }
 

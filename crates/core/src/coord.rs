@@ -149,35 +149,27 @@ pub struct CoordShared {
     pub coord_participants: u32,
     /// `(gen, stage)` → summed contributions for unreleased barriers.
     pub barrier_pending: BTreeMap<(u64, u8), u32>,
+    /// Mirror of each relay fronting this root, keyed by node id.
+    pub relays: BTreeMap<u32, crate::relay::RelayMirror>,
 }
 
-/// Extension-slot key for the shared state of the coordinator on `port`.
-/// The default port keeps the historical unsuffixed key, so every existing
-/// single-coordinator test, bench, and replay dump reads the same slot it
-/// always did; additional coordinators (dmtcpd shards) get their own.
-fn coord_slot(port: u16) -> String {
-    if port == COORD_PORT {
-        "dmtcp-coord-shared".to_string()
-    } else {
-        format!("dmtcp-coord-shared:{port}")
-    }
-}
+/// Every root coordinator's [`CoordShared`], keyed by its port.
+#[derive(Default)]
+struct CoordSlot(BTreeMap<u16, CoordShared>);
 
 /// Access the shared state of the coordinator listening on `port`. Each
 /// root coordinator owns an independent [`CoordShared`] keyed by its port,
 /// which is what lets many coordinators (dmtcpd shards) coexist in one
 /// world without sharing generation counters or image lists.
 pub fn coord_shared_for(w: &mut World, port: u16) -> &mut CoordShared {
-    let slot = w
-        .ext_slots
-        .entry(coord_slot(port))
-        .or_insert_with(|| Box::new(CoordShared::default()));
-    slot.downcast_mut::<CoordShared>()
-        .expect("slot holds CoordShared")
+    w.slots
+        .get_or_default::<CoordSlot>()
+        .0
+        .entry(port)
+        .or_default()
 }
 
-/// Access the coordinator-shared state of the default-port coordinator
-/// (world singleton — the single-computation [`crate::Session`] path).
+/// Access the coordinator-shared state of the default-port coordinator.
 pub fn coord_shared(w: &mut World) -> &mut CoordShared {
     coord_shared_for(w, COORD_PORT)
 }
@@ -1076,18 +1068,14 @@ pub fn record_image(w: &mut World, root_port: u16, path: String, host: String) {
         .push((path, host));
 }
 
-/// Post a checkpoint request to the coordinator on `port` (the `dmtcp
-/// command --checkpoint` path against a specific dmtcpd shard) and wake it.
-pub fn request_checkpoint_on(w: &mut World, sim: &mut oskit::world::OsSim, port: u16) {
-    coord_shared_for(w, port).ckpt_request_pending = true;
-    if let Some(pid) = coord_shared_for(w, port).coord_pid {
+/// Post a checkpoint request to the coordinator on `port` (`dmtcp_command
+/// --checkpoint`) and wake it.
+pub fn request_checkpoint(w: &mut World, sim: &mut oskit::world::OsSim, port: u16) {
+    let cs = coord_shared_for(w, port);
+    cs.ckpt_request_pending = true;
+    if let Some(pid) = cs.coord_pid {
         w.wake(sim, (pid, Tid(0)));
     }
-}
-
-/// Post a checkpoint request to the default-port coordinator and wake it.
-pub fn request_checkpoint(w: &mut World, sim: &mut oskit::world::OsSim) {
-    request_checkpoint_on(w, sim, COORD_PORT);
 }
 
 /// Query the discovery/global tables — used by tests to assert protocol

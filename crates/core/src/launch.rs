@@ -346,12 +346,9 @@ pub fn relay_port_for(root_port: u16) -> u16 {
 /// one relay per node *per shard*, so tenants on different shards sharing
 /// a node each get an aggregation point for their own root.
 fn relay_pids(w: &mut World) -> &mut BTreeMap<(NodeId, u16), Pid> {
-    let slot = w
-        .ext_slots
-        .entry("dmtcp-relays".to_string())
-        .or_insert_with(|| Box::new(BTreeMap::<(NodeId, u16), Pid>::new()));
-    slot.downcast_mut::<BTreeMap<(NodeId, u16), Pid>>()
-        .expect("slot holds relay registry")
+    #[derive(Default)]
+    struct RelayPids(BTreeMap<(NodeId, u16), Pid>);
+    &mut w.slots.get_or_default::<RelayPids>().0
 }
 
 /// Ensure a relay for `opts.coord_port`'s root is running on `node`,

@@ -55,9 +55,9 @@ struct LocalClient {
 
 /// Replay-dump mirror of one relay's barrier aggregation state. Relays, like
 /// the coordinator, are `Box<dyn Program>` and cannot be downcast from the
-/// process table, so each relay copies its bookkeeping here at the end of
-/// every step (the [`crate::coord::CoordShared`] pattern) and `dmtcp replay`
-/// snapshots read it back.
+/// process table, so each relay copies its bookkeeping into its root's
+/// [`crate::coord::CoordShared::relays`] at the end of every step and
+/// `dmtcp replay` snapshots read it back.
 #[derive(Debug, Default, Clone)]
 pub struct RelayMirror {
     /// Generation currently in flight (or last seen).
@@ -72,23 +72,6 @@ pub struct RelayMirror {
     pub acks: BTreeMap<(u64, u8), u32>,
     /// Barriers whose release already fanned out locally.
     pub released: BTreeSet<(u64, u8)>,
-}
-
-/// World-singleton map of per-node relay mirrors, keyed by node id.
-#[derive(Debug, Default)]
-pub struct RelayShared {
-    /// One mirror per relay-bearing node.
-    pub relays: BTreeMap<u32, RelayMirror>,
-}
-
-/// Access the relay mirror map (world singleton ext slot).
-pub fn relay_shared(w: &mut World) -> &mut RelayShared {
-    let slot = w
-        .ext_slots
-        .entry("dmtcp-relay-shared".to_string())
-        .or_insert_with(|| Box::new(RelayShared::default()));
-    slot.downcast_mut::<RelayShared>()
-        .expect("slot holds RelayShared")
 }
 
 /// The relay program (one per node under `Topology::Hierarchical`).
@@ -339,22 +322,20 @@ impl Relay {
         }
     }
 
-    /// Mirror aggregation bookkeeping into [`RelayShared`] for replay dumps.
-    /// Called once at the end of every step — the maps are per-node tiny.
-    /// Only the default session's relays mirror: the map is keyed by node,
-    /// and replay state dumps cover the single default-port computation,
-    /// not dmtcpd shards (which would collide on the node key).
+    /// Mirror aggregation bookkeeping into the root's
+    /// [`crate::coord::CoordShared::relays`] for replay dumps. Called once
+    /// at the end of every step — the maps are per-node tiny.
     fn mirror_state(&self, k: &mut Kernel<'_>) {
-        if self.root_port != crate::coord::COORD_PORT {
-            return;
-        }
         let node = k.node().0;
         let acks: BTreeMap<(u64, u8), u32> = self
             .acks
             .iter()
             .map(|(key, set)| (*key, set.len() as u32))
             .collect();
-        let m = relay_shared(k.w).relays.entry(node).or_default();
+        let m = crate::coord::coord_shared_for(k.w, self.root_port)
+            .relays
+            .entry(node)
+            .or_default();
         m.gen = self.gen;
         m.in_flight = self.in_flight;
         m.dormant = self.dormant;

@@ -33,7 +33,6 @@
 //!    seek point.
 
 use crate::coord::coord_shared;
-use crate::relay::relay_shared;
 use crate::restart::plan::RestartPlan;
 use crate::session::Session;
 use obs::journal::{DecodedJournal, Divergence};
@@ -216,17 +215,15 @@ pub fn snapshot(w: &mut World, now: Nanos) -> String {
         let skip = evs.len().saturating_sub(TAIL_EVENTS);
         evs[skip..].iter().map(|e| e.describe()).collect()
     };
-    let coord = {
-        let cs = coord_shared(w);
-        (
-            cs.coord_gen,
-            cs.coord_in_progress,
-            cs.coord_drain_open,
-            cs.coord_expected,
-            cs.barrier_pending.clone(),
-        )
-    };
-    let relays = relay_shared(w).relays.clone();
+    let cs = coord_shared(w);
+    let coord = (
+        cs.coord_gen,
+        cs.coord_in_progress,
+        cs.coord_drain_open,
+        cs.coord_expected,
+        cs.barrier_pending.clone(),
+    );
+    let relays = cs.relays.clone();
     let substrate = oskit::dump::dump_json(w, now);
 
     let mut j = JsonWriter::new();

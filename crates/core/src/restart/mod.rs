@@ -40,11 +40,9 @@ use std::collections::{BTreeMap, BTreeSet};
 /// The world-side registry of restored vpid → new real pid, filled by
 /// restart processes and consumed by each manager's pid-map fixup.
 pub fn restored_real(w: &mut oskit::world::World) -> &mut BTreeMap<u32, u32> {
-    let slot = w
-        .ext_slots
-        .entry("dmtcp-restored-real".to_string())
-        .or_insert_with(|| Box::new(BTreeMap::<u32, u32>::new()));
-    slot.downcast_mut().expect("slot holds pid map")
+    #[derive(Default)]
+    struct RestoredReal(BTreeMap<u32, u32>);
+    &mut w.slots.get_or_default::<RestoredReal>().0
 }
 
 struct Loaded {

@@ -335,7 +335,7 @@ impl RestartPlan {
             }
         };
         let g = gs.gen;
-        if Session::wait_ckpt_written_on(w, sim, port, g, max_events).is_none() {
+        if s.wait_ckpt_written(w, sim, g, max_events).is_none() {
             return Err(RestartError::AbortedDuringMigration { gen: g });
         }
 

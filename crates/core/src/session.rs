@@ -4,9 +4,14 @@
 //! ```text
 //! dmtcp_checkpoint [options] <program>   → Session::start + Session::launch
 //! dmtcp_command --checkpoint             → Session::checkpoint_and_wait
+//! dmtcp_command --kill                   → Session::kill_computation
 //! the coordinator's restart script       → RestartPlan::execute
-//!                                          + Session::wait_restart_done
+//!                                          + session.wait_restart_done
 //! ```
+//!
+//! A [`Session`] carries its root coordinator port (`opts.coord_port`), so
+//! every method acts on that coordinator alone; a dmtcpd tenant's
+//! `svc::Client` holds one for its shard.
 //!
 //! The coordinator's restart script is a typed generation record here
 //! ([`crate::restart::record`]); [`RestartPlan`] plans from it.
@@ -63,7 +68,7 @@ impl Session {
             &[("port", self.opts.coord_port as u64)],
             "",
         );
-        crate::coord::request_checkpoint_on(w, sim, self.opts.coord_port);
+        crate::coord::request_checkpoint(w, sim, self.opts.coord_port);
     }
 
     /// Request a checkpoint and run the simulation until it completes
@@ -79,48 +84,67 @@ impl Session {
         sim: &mut OsSim,
         max_events: u64,
     ) -> Result<GenStat, CkptError> {
+        self.checkpoint_via(
+            w,
+            sim,
+            max_events,
+            |w, sim| self.request_checkpoint(w, sim),
+            |_| None,
+        )
+    }
+
+    /// The settle loop behind [`Session::checkpoint_and_wait`], for front
+    /// ends that deliver the request another way (dmtcpd's service frame):
+    /// `request` posts it, and `refused` is polled before every event — a
+    /// `Some` ends the wait with that error.
+    pub fn checkpoint_via<E: From<CkptError>>(
+        &self,
+        w: &mut World,
+        sim: &mut OsSim,
+        max_events: u64,
+        request: impl FnOnce(&mut World, &mut OsSim),
+        mut refused: impl FnMut(&mut World) -> Option<E>,
+    ) -> Result<GenStat, E> {
         let port = self.opts.coord_port;
         let before = coord_shared_for(w, port).gen_stats.len();
-        self.request_checkpoint(w, sim);
+        request(w, sim);
         let fired_start = sim.events_fired();
         loop {
+            if let Some(e) = refused(w) {
+                return Err(e);
+            }
             if !sim.step(w) {
                 // The event queue drained with the protocol unfinished:
                 // nothing will ever make progress again.
                 return Err(CkptError::BudgetExhausted {
                     events: sim.events_fired() - fired_start,
-                });
+                }
+                .into());
             }
-            let settled = {
-                let cs = coord_shared_for(w, port);
-                cs.gen_stats.len() > before
-                    && cs
-                        .gen_stats
-                        .last()
-                        .map(|g| g.aborted || g.releases.contains_key(&stage::REFILLED))
-                        .unwrap_or(false)
-            };
-            if settled {
-                let gs = coord_shared_for(w, port)
+            let cs = coord_shared_for(w, port);
+            let settled = cs.gen_stats.len() > before
+                && cs
                     .gen_stats
                     .last()
-                    .expect("pushed")
-                    .clone();
+                    .is_some_and(|g| g.aborted || g.releases.contains_key(&stage::REFILLED));
+            if settled {
+                let gs = cs.gen_stats.last().expect("pushed").clone();
                 if gs.aborted {
                     return Err(CkptError::Aborted {
                         gen: gs.gen,
                         stage: first_missing_stage(&gs),
-                    });
+                    }
+                    .into());
                 }
                 return Ok(gs);
             }
             if sim.events_fired() - fired_start >= max_events {
-                return Err(CkptError::BudgetExhausted { events: max_events });
+                return Err(CkptError::BudgetExhausted { events: max_events }.into());
             }
         }
     }
 
-    /// The most recent generation stats.
+    /// The most recent generation stats of the default-port coordinator.
     pub fn last_gen_stat(w: &mut World) -> Option<GenStat> {
         coord_shared(w).gen_stats.last().cloned()
     }
@@ -135,31 +159,20 @@ impl Session {
     /// Panics if the drain neither completes nor aborts within
     /// `max_events`.
     pub fn wait_ckpt_written(
+        &self,
         w: &mut World,
         sim: &mut OsSim,
-        gen: u64,
-        max_events: u64,
-    ) -> Option<GenStat> {
-        Self::wait_ckpt_written_on(w, sim, crate::coord::COORD_PORT, gen, max_events)
-    }
-
-    /// [`Session::wait_ckpt_written`] against the coordinator on `port`
-    /// (a dmtcpd shard or a non-default root).
-    pub fn wait_ckpt_written_on(
-        w: &mut World,
-        sim: &mut OsSim,
-        port: u16,
         gen: u64,
         max_events: u64,
     ) -> Option<GenStat> {
         let start = sim.events_fired();
         loop {
-            let settled = coord_shared_for(w, port)
+            let settled = coord_shared_for(w, self.opts.coord_port)
                 .gen_stats
                 .iter()
                 .rev()
                 .find(|g| g.gen == gen)
-                .map(|g| {
+                .and_then(|g| {
                     if g.releases.contains_key(&stage::CKPT_WRITTEN) {
                         Some(Some(g.clone()))
                     } else if g.aborted {
@@ -167,8 +180,7 @@ impl Session {
                     } else {
                         None
                     }
-                })
-                .unwrap_or(None);
+                });
             if let Some(outcome) = settled {
                 return outcome;
             }
@@ -183,8 +195,10 @@ impl Session {
         }
     }
 
-    /// Kill the whole traced computation with SIGKILL (simulated failure).
-    /// The coordinator survives, as in real deployments.
+    /// Kill this session's computation with SIGKILL (simulated failure):
+    /// every traced process that answers to this session's root port.
+    /// Other sessions in the same world (dmtcpd tenants) and the
+    /// coordinator survive, as in real deployments.
     pub fn kill_computation(&self, w: &mut World, sim: &mut OsSim) {
         w.obs.journal.record(
             sim.now(),
@@ -194,44 +208,32 @@ impl Session {
             &[],
             "",
         );
-        let traced: Vec<Pid> = w
+        let port = self.opts.coord_port;
+        let victims: Vec<Pid> = w
             .procs
             .iter()
             .filter(|(_, p)| {
                 p.alive()
                     && p.ext
                         .as_ref()
-                        .map(|e| e.is::<crate::hijack::Hijack>())
-                        .unwrap_or(false)
+                        .and_then(|e| e.downcast_ref::<crate::hijack::Hijack>())
+                        .is_some_and(|h| h.root_port == port)
             })
             .map(|(pid, _)| *pid)
             .collect();
-        for pid in traced {
+        for pid in victims {
             w.signal(sim, pid, sig::SIGKILL);
         }
         sim.run_until(w, sim.now() + Nanos::from_millis(1));
     }
 
-    /// Run the simulation until the newest restart completes (its
-    /// restart-refill barrier for `gen` released) on the default-port
-    /// coordinator. An earlier restart of the same generation does not
-    /// count.
-    pub fn wait_restart_done(w: &mut World, sim: &mut OsSim, gen: u64, max_events: u64) {
-        Self::wait_restart_done_on(w, sim, crate::coord::COORD_PORT, gen, max_events)
-    }
-
-    /// [`Session::wait_restart_done`] against the coordinator on `port`
-    /// (a dmtcpd shard).
-    pub fn wait_restart_done_on(
-        w: &mut World,
-        sim: &mut OsSim,
-        port: u16,
-        gen: u64,
-        max_events: u64,
-    ) {
+    /// Run the simulation until this session's newest restart completes
+    /// (its restart-refill barrier for `gen` released). An earlier restart
+    /// of the same generation does not count.
+    pub fn wait_restart_done(&self, w: &mut World, sim: &mut OsSim, gen: u64, max_events: u64) {
         let start = sim.events_fired();
         loop {
-            let cs = coord_shared_for(w, port);
+            let cs = coord_shared_for(w, self.opts.coord_port);
             let done = cs.gen_stats[cs.restart_mark..]
                 .iter()
                 .any(|g| g.gen == gen && g.releases.contains_key(&stage::RESTART_REFILLED));

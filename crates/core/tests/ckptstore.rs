@@ -132,7 +132,7 @@ fn pipe_run(store: bool, wipe_primary_store: bool) -> String {
         .execute(&s, &mut w, &mut sim)
         .expect("restart");
     assert_eq!(restored.gen, 2, "latest generation restarts");
-    Session::wait_restart_done(&mut w, &mut sim, restored.gen, budget);
+    s.wait_restart_done(&mut w, &mut sim, restored.gen, budget);
     assert!(
         !matches!(
             sim.run_budgeted(&mut w, budget),

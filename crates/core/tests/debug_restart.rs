@@ -45,7 +45,7 @@ fn restart_diagnosis() {
         .expect("restart script written")
         .execute(&s, &mut w, &mut sim)
         .expect("identity restart");
-    Session::wait_restart_done(&mut w, &mut sim, gen, 5_000_000);
+    s.wait_restart_done(&mut w, &mut sim, gen, 5_000_000);
     let drained_ok = sim.run_bounded(&mut w, 5_000_000);
 
     let result = shared_result(&w, "/shared/client_result");
@@ -154,7 +154,7 @@ fn exact_copy_of_failing_test() {
         .expect("restart script written")
         .execute(&s, &mut w, &mut sim)
         .expect("identity restart");
-    Session::wait_restart_done(&mut w, &mut sim, gen, 5_000_000);
+    s.wait_restart_done(&mut w, &mut sim, gen, 5_000_000);
     assert!(sim.run_bounded(&mut w, 5_000_000), "post-restart deadlock");
     eprintln!(
         "client_result = {:?}",

@@ -131,7 +131,7 @@ fn kill_and_restart_in_same_world() {
         "two hosts in placement: {:?}",
         outcome.placement
     );
-    Session::wait_restart_done(&mut w, &mut sim, gen, EV);
+    s.wait_restart_done(&mut w, &mut sim, gen, EV);
 
     // The computation resumes and completes with the reference answers.
     assert!(sim.run_bounded(&mut w, EV), "post-restart deadlock");
@@ -168,7 +168,7 @@ fn each_restart_of_one_generation_waits_for_its_own_release() {
             .expect("generation record written")
             .execute(&s, &mut w, &mut sim)
             .expect("identity restart");
-        Session::wait_restart_done(&mut w, &mut sim, gen, EV);
+        s.wait_restart_done(&mut w, &mut sim, gen, EV);
         let done = coord_shared(&mut w)
             .gen_stats
             .iter()
@@ -256,7 +256,7 @@ fn malformed_generation_record_is_a_typed_error() {
         .execute(&s, &mut w, &mut sim)
         .expect("intact record restarts");
     assert_eq!(out.gen, gen);
-    Session::wait_restart_done(&mut w, &mut sim, gen, EV);
+    s.wait_restart_done(&mut w, &mut sim, gen, EV);
     assert!(sim.run_bounded(&mut w, EV), "post-restart deadlock");
     assert!(shared_result(&w, "/shared/client_result").is_some());
 }
@@ -293,7 +293,7 @@ fn migrate_cluster_to_single_laptop() {
         .build()
         .execute(&s2, &mut laptop, &mut sim2)
         .expect("pack-down restart onto the laptop");
-    Session::wait_restart_done(&mut laptop, &mut sim2, gen, EV);
+    s2.wait_restart_done(&mut laptop, &mut sim2, gen, EV);
     assert!(sim2.run_bounded(&mut laptop, EV), "laptop deadlock");
     assert_eq!(
         shared_result(&laptop, "/shared/client_result").as_deref(),
@@ -329,7 +329,7 @@ fn pipes_and_fork_survive_checkpoint_restart() {
         .expect("restart script written")
         .execute(&s, &mut w, &mut sim)
         .expect("identity restart");
-    Session::wait_restart_done(&mut w, &mut sim, gen, EV);
+    s.wait_restart_done(&mut w, &mut sim, gen, EV);
     assert!(
         sim.run_bounded(&mut w, EV),
         "pipe chain deadlocked after restart"
@@ -375,7 +375,7 @@ fn multithreaded_process_restores_both_threads() {
         .expect("restart script written")
         .execute(&s, &mut w, &mut sim)
         .expect("identity restart");
-    Session::wait_restart_done(&mut w, &mut sim, gen, EV);
+    s.wait_restart_done(&mut w, &mut sim, gen, EV);
     assert!(sim.run_bounded(&mut w, EV));
     assert_eq!(
         shared_result(&w, "/shared/twin_result").as_deref(),
@@ -438,7 +438,7 @@ fn second_checkpoint_after_restart_works() {
         .expect("restart script written")
         .execute(&s, &mut w, &mut sim)
         .expect("identity restart");
-    Session::wait_restart_done(&mut w, &mut sim, g1, EV);
+    s.wait_restart_done(&mut w, &mut sim, g1, EV);
 
     run_for(&mut w, &mut sim, Nanos::from_millis(20));
     let stat2 = s.checkpoint_and_wait(&mut w, &mut sim, EV).expect_ckpt();
@@ -448,7 +448,7 @@ fn second_checkpoint_after_restart_works() {
         .expect("restart script written")
         .execute(&s, &mut w, &mut sim)
         .expect("identity restart");
-    Session::wait_restart_done(&mut w, &mut sim, stat2.gen, EV);
+    s.wait_restart_done(&mut w, &mut sim, stat2.gen, EV);
     assert!(sim.run_bounded(&mut w, EV));
     assert_eq!(
         shared_result(&w, "/shared/client_result").as_deref(),
@@ -687,7 +687,7 @@ fn checkpoint_with_kernel_buffers_full_both_directions() {
         .expect("restart script written")
         .execute(&s, &mut w, &mut sim)
         .expect("identity restart");
-    Session::wait_restart_done(&mut w, &mut sim, gen, EV);
+    s.wait_restart_done(&mut w, &mut sim, gen, EV);
     assert!(
         sim.run_bounded(&mut w, EV),
         "flood deadlocked after restart"
@@ -981,7 +981,7 @@ fn checkpoint_with_half_closed_connection() {
         .expect("restart script written")
         .execute(&s, &mut w, &mut sim)
         .expect("identity restart");
-    Session::wait_restart_done(&mut w, &mut sim, gen, EV);
+    s.wait_restart_done(&mut w, &mut sim, gen, EV);
     assert!(
         sim.run_bounded(&mut w, EV),
         "half-close deadlocked after restart"
@@ -1066,7 +1066,7 @@ fn hierarchical_topology_full_cycle() {
         "two hosts in placement: {:?}",
         outcome.placement
     );
-    Session::wait_restart_done(&mut w, &mut sim, gen, EV);
+    s.wait_restart_done(&mut w, &mut sim, gen, EV);
 
     assert!(sim.run_bounded(&mut w, EV), "post-restart deadlock");
     assert_eq!(

@@ -553,7 +553,7 @@ fn drive_cell(
     // drain is still in flight; let it finish (or drain-abort, if the fault
     // kills a participant) while the fault is still armed.
     let written2 = if cell.forked && outcome.is_ok() {
-        Session::wait_ckpt_written(&mut *w, &mut *sim, 2, budget).is_some()
+        s.wait_ckpt_written(&mut *w, &mut *sim, 2, budget).is_some()
     } else {
         false
     };
@@ -724,7 +724,7 @@ fn drive_cell(
         );
     }
 
-    Session::wait_restart_done(&mut *w, &mut *sim, restored.gen, budget);
+    s.wait_restart_done(&mut *w, &mut *sim, restored.gen, budget);
     match sim.run_budgeted(&mut *w, budget) {
         RunOutcome::Quiescent | RunOutcome::Halted => {}
         RunOutcome::BudgetExhausted => panic!(
@@ -954,7 +954,7 @@ fn run_relay_fault(kind: FaultKind) {
         "restart must fall back to the previous durable generation \
          (injected: {injected:?})"
     );
-    Session::wait_restart_done(&mut w, &mut sim, restored.gen, budget);
+    s.wait_restart_done(&mut w, &mut sim, restored.gen, budget);
     match sim.run_budgeted(&mut w, budget) {
         RunOutcome::Quiescent | RunOutcome::Halted => {}
         RunOutcome::BudgetExhausted => {

@@ -29,7 +29,7 @@ fn full_cycle(w: &mut World, sim: &mut OsSim, s: &Session, ckpt_at: Nanos) {
         .expect("restart script written")
         .execute(s, w, sim)
         .expect("identity restart");
-    Session::wait_restart_done(w, sim, gen, EV);
+    s.wait_restart_done(w, sim, gen, EV);
     assert!(sim.run_bounded(w, EV), "post-restart deadlock");
 }
 
@@ -499,7 +499,7 @@ fn pid_virtualization_across_restart() {
         .expect("restart script written")
         .execute(&s, &mut w, &mut sim)
         .expect("identity restart");
-    Session::wait_restart_done(&mut w, &mut sim, gen, EV);
+    s.wait_restart_done(&mut w, &mut sim, gen, EV);
     assert!(sim.run_bounded(&mut w, EV), "vpid app deadlocked");
     assert_eq!(
         shared_result(&w, "/shared/vpid_result").as_deref(),

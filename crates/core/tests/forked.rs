@@ -44,7 +44,7 @@ fn restart_and_dump(s: &Session, w: &mut World, sim: &mut OsSim, flags: &[&str],
         .execute(s, w, sim)
         .expect("restart");
     assert!(restored.rejected.is_empty(), "no image may be rejected");
-    Session::wait_restart_done(w, sim, restored.gen, budget);
+    s.wait_restart_done(w, sim, restored.gen, budget);
     match sim.run_budgeted(w, budget) {
         RunOutcome::Quiescent | RunOutcome::Halted => {}
         RunOutcome::BudgetExhausted => panic!("restored probe did not finish"),
@@ -82,7 +82,9 @@ fn mid_drain_write_keeps_prefork_bytes() {
     let copied_before = w.obs.metrics.counter_total("oskit.mem.cow_copied_bytes");
     w.shared_fs.write_all("/shared/cow_go", b"1").expect("flag");
 
-    let gw = Session::wait_ckpt_written(&mut w, &mut sim, 1, budget).expect("drain completes");
+    let gw = s
+        .wait_ckpt_written(&mut w, &mut sim, 1, budget)
+        .expect("drain completes");
     assert!(
         w.shared_fs.exists("/shared/cow_done"),
         "probe never wrote mid-drain"
@@ -190,7 +192,8 @@ fn shm_region_writes_through_uncharged() {
     let copied_before = w.obs.metrics.counter_total("oskit.mem.cow_copied_bytes");
     w.shared_fs.write_all("/shared/shm_go", b"1").expect("flag");
 
-    Session::wait_ckpt_written(&mut w, &mut sim, 1, budget).expect("drain completes");
+    s.wait_ckpt_written(&mut w, &mut sim, 1, budget)
+        .expect("drain completes");
     assert!(
         w.shared_fs.exists("/shared/shm_done"),
         "probe never wrote mid-drain"

@@ -320,7 +320,7 @@ fn protocol_run(incremental: bool, forked: bool) -> String {
         .execute(&s, &mut w, &mut sim)
         .expect("restart");
     assert_eq!(restored.gen, 5, "latest generation restarts");
-    Session::wait_restart_done(&mut w, &mut sim, restored.gen, budget);
+    s.wait_restart_done(&mut w, &mut sim, restored.gen, budget);
     assert!(
         !matches!(
             sim.run_budgeted(&mut w, budget),

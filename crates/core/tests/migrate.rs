@@ -231,7 +231,7 @@ fn same_generation_restarts_onto_one_half_and_double_node_counts() {
             "{label}: placement does not sum to the original process set"
         );
 
-        Session::wait_restart_done(&mut w2, &mut sim2, gen, budget);
+        s2.wait_restart_done(&mut w2, &mut sim2, gen, budget);
         assert!(sim2.run_bounded(&mut w2, budget), "{label}: deadlock");
         assert_eq!(
             shared_result(&w2, "/shared/client_result").as_deref(),
@@ -672,7 +672,7 @@ fn target_node_loss_aborts_migration_and_movers_fall_back() {
         .execute(&s, &mut w, &mut sim)
         .expect("fallback restore onto a healthy node");
     assert_eq!(outcome.placement, vec![(NodeId(0), vec![mover])]);
-    Session::wait_restart_done(&mut w, &mut sim, 1, budget);
+    s.wait_restart_done(&mut w, &mut sim, 1, budget);
 
     assert!(sim.run_bounded(&mut w, budget), "post-fallback deadlock");
     assert_eq!(

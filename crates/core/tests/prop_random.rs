@@ -99,7 +99,7 @@ fn ckpt_kill_restart_at(rounds: u64, ckpt_at_ms: u64, kill_delay_ms: u64, merge:
     plan.build()
         .execute(&s, &mut w, &mut sim)
         .expect("restart plan");
-    Session::wait_restart_done(&mut w, &mut sim, stat.gen, run_budget());
+    s.wait_restart_done(&mut w, &mut sim, stat.gen, run_budget());
     finish(&mut w, &mut sim, "post-restart run")
 }
 

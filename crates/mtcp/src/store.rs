@@ -10,7 +10,7 @@
 //! an image path back into a blob, possibly assembling it from chunks held
 //! by a peer node when the primary copy is gone.
 //!
-//! The store lives in a `World` ext slot so neither `mtcp` nor `core`
+//! The store lives in a `World` typed slot so neither `mtcp` nor `core`
 //! needs a dependency on the implementation; with no store installed the
 //! behavior is byte-identical to the plain-file path. This is the
 //! plugin-model shape: one documented trait, installed and removed at
@@ -20,9 +20,6 @@ use oskit::fs::Blob;
 use oskit::world::{NodeId, World};
 use simkit::Nanos;
 use std::rc::Rc;
-
-/// `World::ext_slots` key holding the installed [`ImageStore`].
-pub const SLOT: &str = "mtcp-image-store";
 
 /// What a store reports after committing an image.
 #[derive(Debug, Clone, Copy)]
@@ -81,21 +78,21 @@ pub trait ImageStore {
     }
 }
 
+/// The world slot holding the installed store.
+struct Installed(Rc<dyn ImageStore>);
+
 /// Install an image store (replacing any previous one).
 pub fn install(w: &mut World, store: Rc<dyn ImageStore>) {
-    w.ext_slots.insert(SLOT.to_string(), Box::new(store));
+    w.slots.set(Installed(store));
 }
 
 /// Remove the image store; MTCP reverts to plain-file images.
 pub fn uninstall(w: &mut World) {
-    w.ext_slots.remove(SLOT);
+    w.slots.take::<Installed>();
 }
 
 /// The installed store, if any (cloned out so callers can use it while
 /// mutating the world).
 pub fn installed(w: &World) -> Option<Rc<dyn ImageStore>> {
-    w.ext_slots
-        .get(SLOT)
-        .and_then(|b| b.downcast_ref::<Rc<dyn ImageStore>>())
-        .cloned()
+    w.slots.get::<Installed>().map(|s| s.0.clone())
 }

@@ -20,9 +20,48 @@ use simkit::resource::{CachedDisk, CorePool, Pipe};
 use simkit::rng::DetRng;
 use simkit::trace::Trace;
 use simkit::{Nanos, Sim};
+use std::any::{Any, TypeId};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
+
+/// State that layers above the kernel keep in the world, one value per
+/// type. Each owner keys its entry by a private newtype, so no other layer
+/// can name (or alias) it and no caller downcasts: the downcast lives here.
+#[derive(Default)]
+pub struct Slots(BTreeMap<TypeId, Box<dyn Any>>);
+
+impl Slots {
+    /// The `T` entry, created with `T::default()` on first use.
+    pub fn get_or_default<T: Any + Default>(&mut self) -> &mut T {
+        self.0
+            .entry(TypeId::of::<T>())
+            .or_insert_with(|| Box::new(T::default()))
+            .downcast_mut()
+            .expect("slot keyed by its own type")
+    }
+
+    /// The `T` entry, if one is set.
+    pub fn get<T: Any>(&self) -> Option<&T> {
+        self.0.get(&TypeId::of::<T>())?.downcast_ref()
+    }
+
+    /// The `T` entry, mutably, if one is set.
+    pub fn get_mut<T: Any>(&mut self) -> Option<&mut T> {
+        self.0.get_mut(&TypeId::of::<T>())?.downcast_mut()
+    }
+
+    /// Set the `T` entry, replacing any previous value.
+    pub fn set<T: Any>(&mut self, value: T) {
+        self.0.insert(TypeId::of::<T>(), Box::new(value));
+    }
+
+    /// Remove and return the `T` entry.
+    pub fn take<T: Any>(&mut self) -> Option<T> {
+        let b = self.0.remove(&TypeId::of::<T>())?;
+        Some(*b.downcast().expect("slot keyed by its own type"))
+    }
+}
 
 /// Node index within the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -172,9 +211,9 @@ pub struct World {
     pub net_fault: Option<NetFaultHook>,
     /// Checkpoint-image fault-injection hook (see [`ImageFaultHook`]).
     pub image_fault: Option<ImageFaultHook>,
-    /// Named extension slots for layers built on top of the kernel (the
+    /// Per-layer state of the layers built on top of the kernel (the
     /// DMTCP crate keeps its wrapper side tables here). Opaque to oskit.
-    pub ext_slots: BTreeMap<String, Box<dyn std::any::Any>>,
+    pub slots: Slots,
     next_pid: u32,
     next_conn: u64,
     next_listener: u64,
@@ -219,7 +258,7 @@ impl World {
             spawn_hook: None,
             net_fault: None,
             image_fault: None,
-            ext_slots: BTreeMap::new(),
+            slots: Slots::default(),
             next_pid: 2,
             next_conn: 1,
             next_listener: 1,
@@ -1293,5 +1332,36 @@ mod tests {
         let maps = w.proc_maps(pid).unwrap();
         assert!(maps.contains("libdemo.so"));
         assert!(maps.contains("r--"));
+    }
+
+    #[test]
+    fn slots_are_typed_per_owner() {
+        #[derive(Default)]
+        struct Counter(u32);
+        #[derive(Default)]
+        struct OtherCounter(u32);
+        let mut slots = Slots::default();
+        assert!(slots.get::<Counter>().is_none());
+
+        // get-or-default creates exactly once; later calls see the value.
+        slots.get_or_default::<Counter>().0 += 1;
+        slots.get_or_default::<Counter>().0 += 1;
+        assert_eq!(slots.get::<Counter>().map(|c| c.0), Some(2));
+
+        // Two owner types with the same shape never alias.
+        assert!(slots.get::<OtherCounter>().is_none());
+        slots.get_or_default::<OtherCounter>().0 = 7;
+        assert_eq!(slots.get::<Counter>().map(|c| c.0), Some(2));
+
+        // set replaces; get_mut edits in place.
+        slots.set(Counter(10));
+        slots.get_mut::<Counter>().expect("set").0 += 1;
+        assert_eq!(slots.get::<Counter>().map(|c| c.0), Some(11));
+
+        // take removes and returns; the other owner is untouched.
+        assert_eq!(slots.take::<Counter>().map(|c| c.0), Some(11));
+        assert!(slots.get::<Counter>().is_none());
+        assert!(slots.take::<Counter>().is_none());
+        assert_eq!(slots.get::<OtherCounter>().map(|c| c.0), Some(7));
     }
 }

@@ -202,7 +202,7 @@ fn mpi_job_checkpoint_kill_restart_same_answer() {
         .expect("restart script written")
         .execute(&s, &mut w, &mut sim)
         .expect("identity restart");
-    Session::wait_restart_done(&mut w, &mut sim, gen, EV);
+    s.wait_restart_done(&mut w, &mut sim, gen, EV);
     assert!(sim.run_bounded(&mut w, EV), "restored MPI job deadlocked");
     let got = String::from_utf8(w.shared_fs.read_all("/shared/mpi_result").expect("result"))
         .expect("utf8");
@@ -356,7 +356,7 @@ fn topc_job_survives_checkpoint_restart() {
         .expect("restart script written")
         .execute(&s, &mut w, &mut sim)
         .expect("identity restart");
-    Session::wait_restart_done(&mut w, &mut sim, gen, EV);
+    s.wait_restart_done(&mut w, &mut sim, gen, EV);
     assert!(sim.run_bounded(&mut w, EV), "restored TOP-C job deadlocked");
     let got = String::from_utf8(w.shared_fs.read_all("/shared/topc_result").expect("result"))
         .expect("utf8");

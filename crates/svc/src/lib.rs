@@ -21,17 +21,19 @@
 //! carried as framed [`dmtcp::proto::Msg`] service messages through the
 //! daemon's request mailbox — the simulated stand-in for the daemon's
 //! listening socket; barrier traffic stays on each shard's own coordinator
-//! socket, untouched. [`Client`] mirrors the [`dmtcp::Session`] API, so a
-//! computation ports from the single-session world to dmtcpd by swapping
-//! the handle type.
+//! socket, untouched. A [`Client`] holds a [`dmtcp::Session`] on its shard
+//! (`client.session`), so a computation ports from the single-session world
+//! to dmtcpd by driving that session; only checkpoint requests go through
+//! the daemon, which may refuse them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dmtcp::coord::{coord_shared_for, stage, Coordinator, GenStat};
-use dmtcp::launch::{launch_under_dmtcp, Options, Topology};
+use dmtcp::coord::{Coordinator, GenStat};
+use dmtcp::launch::{Options, Topology};
 use dmtcp::proto::{frame, FrameBuf, Msg, RejectReason};
 use dmtcp::session::CkptError;
+use dmtcp::Session;
 use oskit::program::{Program, Step};
 use oskit::world::{NodeId, OsSim, Pid, Tid, World};
 use oskit::Kernel;
@@ -104,17 +106,23 @@ pub struct SessionRec {
 }
 
 /// World-shared daemon state: the request mailbox (the daemon's "listening
-/// socket"), the reply queue, and the session registry — one slot per
-/// daemon port, so several daemons can coexist in one world.
+/// socket"), the reply queues, and the session registry — one per daemon
+/// port, so several daemons can coexist in one world.
 #[derive(Debug, Default)]
 pub struct SvcShared {
     /// Daemon process, for waking on mailbox posts.
     pub daemon_pid: Option<Pid>,
     /// Framed service requests awaiting the daemon.
     pub inbox: VecDeque<Vec<u8>>,
-    /// Framed service replies awaiting clients (requests are processed in
-    /// order and clients wait synchronously, so a FIFO pairs them up).
+    /// Framed replies to open requests awaiting clients (requests are
+    /// processed in order and `open` waits synchronously, so a FIFO pairs
+    /// them up).
     pub replies: VecDeque<Vec<u8>>,
+    /// The latest framed refusal of each session's checkpoint request, by
+    /// sid. Checkpoint requests may be asynchronous, so their refusals are
+    /// addressed rather than queued: one tenant's refusal never answers
+    /// another caller.
+    pub refusals: BTreeMap<u64, Vec<u8>>,
     /// Open sessions by sid.
     pub sessions: BTreeMap<u64, SessionRec>,
     /// Shard coordinator pids by shard index.
@@ -123,18 +131,17 @@ pub struct SvcShared {
     pub admitted: u64,
 }
 
-fn svc_slot(port: u16) -> String {
-    format!("dmtcpd-shared:{port}")
-}
+/// Every daemon's [`SvcShared`], keyed by its service port.
+#[derive(Default)]
+struct SvcSlot(BTreeMap<u16, SvcShared>);
 
 /// Access (creating if absent) the daemon state for the daemon on `port`.
 pub fn svc_shared(w: &mut World, port: u16) -> &mut SvcShared {
-    let slot = w
-        .ext_slots
-        .entry(svc_slot(port))
-        .or_insert_with(|| Box::new(SvcShared::default()));
-    slot.downcast_mut::<SvcShared>()
-        .expect("slot holds SvcShared")
+    w.slots
+        .get_or_default::<SvcSlot>()
+        .0
+        .entry(port)
+        .or_default()
 }
 
 /// Root coordinator port of shard `k` under `cfg`.
@@ -150,14 +157,26 @@ struct DaemonProg {
 }
 
 impl DaemonProg {
-    fn reject(&self, k: &mut Kernel<'_>, reason: RejectReason, detail: String) {
+    /// Refuse a request: an open on the reply FIFO, a checkpoint request
+    /// of session `ckpt_sid` under that sid.
+    fn reject(
+        &self,
+        k: &mut Kernel<'_>,
+        ckpt_sid: Option<u64>,
+        reason: RejectReason,
+        detail: String,
+    ) {
         k.obs()
             .metrics
             .inc("svc.sessions_rejected", reason as u8 as u64);
-        let port = self.cfg.port;
-        svc_shared(k.w, port)
-            .replies
-            .push_back(frame(&Msg::SessionRejected(reason as u8, detail)));
+        let reply = frame(&Msg::SessionRejected(reason as u8, detail));
+        let shared = svc_shared(k.w, self.cfg.port);
+        match ckpt_sid {
+            Some(sid) => {
+                shared.refusals.insert(sid, reply);
+            }
+            None => shared.replies.push_back(reply),
+        }
     }
 
     fn handle(&mut self, k: &mut Kernel<'_>, msg: Msg) {
@@ -180,6 +199,7 @@ impl DaemonProg {
         if tenant.is_empty() || procs == 0 {
             return self.reject(
                 k,
+                None,
                 RejectReason::BadRequest,
                 "tenant name and proc count must be non-empty".into(),
             );
@@ -187,6 +207,7 @@ impl DaemonProg {
         if procs > self.cfg.max_procs_per_session {
             return self.reject(
                 k,
+                None,
                 RejectReason::TooManyProcs,
                 format!("{procs} procs > limit {}", self.cfg.max_procs_per_session),
             );
@@ -195,6 +216,7 @@ impl DaemonProg {
         if open >= self.cfg.max_sessions {
             return self.reject(
                 k,
+                None,
                 RejectReason::SessionsFull,
                 format!("{open} sessions open, limit {}", self.cfg.max_sessions),
             );
@@ -203,6 +225,7 @@ impl DaemonProg {
             let used = ckptstore::tenant::usage(k.w, &tenant).unwrap_or(0);
             return self.reject(
                 k,
+                None,
                 RejectReason::QuotaExceeded,
                 format!("tenant {tenant} ledger at {used} bytes"),
             );
@@ -282,7 +305,8 @@ impl DaemonProg {
     fn session_ckpt(&mut self, k: &mut Kernel<'_>, sid: u64) {
         let Some(rec) = svc_shared(k.w, self.cfg.port).sessions.get(&sid).cloned() else {
             k.obs().metrics.inc("svc.unknown_session", sid);
-            return self.reject(k, RejectReason::BadRequest, format!("no session {sid}"));
+            let detail = format!("no session {sid}");
+            return self.reject(k, Some(sid), RejectReason::BadRequest, detail);
         };
         if ckptstore::tenant::over_quota(k.w, &rec.tenant) {
             let used = ckptstore::tenant::usage(k.w, &rec.tenant).unwrap_or(0);
@@ -298,6 +322,7 @@ impl DaemonProg {
             );
             return self.reject(
                 k,
+                Some(sid),
                 RejectReason::QuotaExceeded,
                 format!("tenant {} ledger at {used} bytes", rec.tenant),
             );
@@ -313,7 +338,7 @@ impl DaemonProg {
             &[("sid", sid), ("shard", rec.shard as u64)],
             &rec.tenant,
         );
-        dmtcp::coord::request_checkpoint_on(k.w, k.sim, rec.shard_port);
+        dmtcp::coord::request_checkpoint(k.w, k.sim, rec.shard_port);
     }
 }
 
@@ -424,21 +449,24 @@ impl Dmtcpd {
             &Msg::OpenSession(tenant.into(), procs),
         );
         match wait_reply(w, sim, self.cfg.port) {
-            Msg::SessionAccepted(sid, shard_port, dir) => Ok(Client {
-                daemon: self.clone(),
-                sid,
-                tenant: tenant.to_string(),
-                opts: Options::builder()
-                    .coord(self.cfg.node)
-                    .coord_port(shard_port)
-                    .ckpt_dir(dir)
-                    .topology(self.cfg.topology)
-                    .build(),
-            }),
-            Msg::SessionRejected(code, detail) => Err(OpenError {
-                reason: RejectReason::from_code(code),
-                detail,
-            }),
+            Msg::SessionAccepted(sid, shard_port, dir) => {
+                let shard = svc_shared(w, self.cfg.port).sessions[&sid].shard;
+                Ok(Client {
+                    daemon: self.clone(),
+                    sid,
+                    tenant: tenant.to_string(),
+                    session: Session {
+                        opts: Options::builder()
+                            .coord(self.cfg.node)
+                            .coord_port(shard_port)
+                            .ckpt_dir(dir)
+                            .topology(self.cfg.topology)
+                            .build(),
+                        coord_pid: self.shard_pids[shard as usize],
+                    },
+                })
+            }
+            Msg::SessionRejected(code, detail) => Err(OpenError::decode(code, detail)),
             other => panic!("daemon answered OpenSession with {other:?}"),
         }
     }
@@ -461,6 +489,15 @@ pub struct OpenError {
     pub reason: Option<RejectReason>,
     /// Human-readable detail.
     pub detail: String,
+}
+
+impl OpenError {
+    fn decode(code: u8, detail: String) -> OpenError {
+        OpenError {
+            reason: RejectReason::from_code(code),
+            detail,
+        }
+    }
 }
 
 impl std::fmt::Display for OpenError {
@@ -491,6 +528,12 @@ impl std::fmt::Display for SvcCkptError {
 
 impl std::error::Error for SvcCkptError {}
 
+impl From<CkptError> for SvcCkptError {
+    fn from(e: CkptError) -> Self {
+        SvcCkptError::Ckpt(e)
+    }
+}
+
 /// Post one framed service request into the daemon's mailbox and wake it.
 fn post(w: &mut World, sim: &mut OsSim, port: u16, msg: &Msg) {
     let shared = svc_shared(w, port);
@@ -500,17 +543,21 @@ fn post(w: &mut World, sim: &mut OsSim, port: u16, msg: &Msg) {
     }
 }
 
+/// Decode one framed daemon reply.
+fn decode(bytes: &[u8]) -> Msg {
+    let mut fb = FrameBuf::new();
+    fb.feed(bytes);
+    fb.pop()
+        .expect("daemon writes well-formed frames")
+        .expect("reply frame complete")
+}
+
 /// Run the simulation until the daemon's reply FIFO yields a frame.
 fn wait_reply(w: &mut World, sim: &mut OsSim, port: u16) -> Msg {
     let mut budget = 100_000u32;
     loop {
         if let Some(bytes) = svc_shared(w, port).replies.pop_front() {
-            let mut fb = FrameBuf::new();
-            fb.feed(&bytes);
-            return fb
-                .pop()
-                .expect("daemon writes well-formed frames")
-                .expect("reply frame complete");
+            return decode(&bytes);
         }
         assert!(sim.step(w), "event queue drained awaiting daemon reply");
         budget -= 1;
@@ -519,8 +566,8 @@ fn wait_reply(w: &mut World, sim: &mut OsSim, port: u16) -> Msg {
 }
 
 /// A client handle for one admitted session — the dmtcpd counterpart of
-/// [`dmtcp::Session`]. Launch, checkpoint, and restart all operate against
-/// the session's shard coordinator and tenant namespace.
+/// [`dmtcp::Session`]. Launch, kill, and restart go through
+/// [`Client::session`]; checkpoint requests go through the daemon.
 #[derive(Debug, Clone)]
 pub struct Client {
     /// The daemon that admitted this session.
@@ -529,29 +576,12 @@ pub struct Client {
     pub sid: u64,
     /// Owning tenant.
     pub tenant: String,
-    /// Launch options pinned to the session's shard and image directory
-    /// (what [`dmtcp::Session::opts`] is to the single-session path).
-    pub opts: Options,
+    /// The session on its shard: options pinned to the shard's root port
+    /// and the tenant's image directory, and the shard coordinator's pid.
+    pub session: Session,
 }
 
 impl Client {
-    /// The shard root port this session's barrier traffic answers to.
-    pub fn shard_port(&self) -> u16 {
-        self.opts.coord_port
-    }
-
-    /// `dmtcp_checkpoint <program>` inside this session.
-    pub fn launch(
-        &self,
-        w: &mut World,
-        sim: &mut OsSim,
-        node: NodeId,
-        cmd: &str,
-        prog: Box<dyn Program>,
-    ) -> Pid {
-        launch_under_dmtcp(w, sim, node, cmd, prog, &self.opts)
-    }
-
     /// Asynchronous checkpoint request, carried as a [`Msg::SessionCkpt`]
     /// service frame (the `dmtcp_command --checkpoint` analogue).
     pub fn request_checkpoint(&self, w: &mut World, sim: &mut OsSim) {
@@ -567,89 +597,25 @@ impl Client {
         sim: &mut OsSim,
         max_events: u64,
     ) -> Result<GenStat, SvcCkptError> {
-        let port = self.shard_port();
-        let before = coord_shared_for(w, port).gen_stats.len();
-        self.request_checkpoint(w, sim);
-        let fired_start = sim.events_fired();
-        loop {
-            // A refusal arrives on the service FIFO instead of a barrier.
-            if let Some(bytes) = svc_shared(w, self.daemon.cfg.port).replies.pop_front() {
-                let mut fb = FrameBuf::new();
-                fb.feed(&bytes);
-                match fb.pop() {
-                    Ok(Some(Msg::SessionRejected(code, detail))) => {
-                        return Err(SvcCkptError::Refused(OpenError {
-                            reason: RejectReason::from_code(code),
-                            detail,
-                        }));
+        let port = self.daemon.cfg.port;
+        // A refusal left by an earlier asynchronous request is not this
+        // request's answer.
+        svc_shared(w, port).refusals.remove(&self.sid);
+        self.session.checkpoint_via(
+            w,
+            sim,
+            max_events,
+            |w, sim| self.request_checkpoint(w, sim),
+            |w| {
+                let bytes = svc_shared(w, port).refusals.remove(&self.sid)?;
+                match decode(&bytes) {
+                    Msg::SessionRejected(code, detail) => {
+                        Some(SvcCkptError::Refused(OpenError::decode(code, detail)))
                     }
                     other => panic!("unexpected service reply {other:?}"),
                 }
-            }
-            if !sim.step(w) {
-                return Err(SvcCkptError::Ckpt(CkptError::BudgetExhausted {
-                    events: sim.events_fired() - fired_start,
-                }));
-            }
-            let settled = {
-                let cs = coord_shared_for(w, port);
-                cs.gen_stats.len() > before
-                    && cs
-                        .gen_stats
-                        .last()
-                        .map(|g| g.aborted || g.releases.contains_key(&stage::REFILLED))
-                        .unwrap_or(false)
-            };
-            if settled {
-                let gs = coord_shared_for(w, port)
-                    .gen_stats
-                    .last()
-                    .expect("pushed")
-                    .clone();
-                if gs.aborted {
-                    return Err(SvcCkptError::Ckpt(CkptError::Aborted {
-                        gen: gs.gen,
-                        stage: dmtcp::session::first_missing_stage(&gs),
-                    }));
-                }
-                return Ok(gs);
-            }
-            if sim.events_fired() - fired_start >= max_events {
-                return Err(SvcCkptError::Ckpt(CkptError::BudgetExhausted {
-                    events: max_events,
-                }));
-            }
-        }
-    }
-
-    /// The session's most recent generation stats.
-    pub fn last_gen_stat(&self, w: &mut World) -> Option<GenStat> {
-        coord_shared_for(w, self.shard_port())
-            .gen_stats
-            .last()
-            .cloned()
-    }
-
-    /// SIGKILL this session's computation only (simulated failure).
-    /// Unlike [`dmtcp::Session::kill_computation`] — which predates
-    /// multi-tenancy and kills every traced process in the world — this
-    /// selects by the root port the processes answer to, so co-tenant
-    /// computations on other shards are untouched.
-    pub fn kill_computation(&self, w: &mut World, sim: &mut OsSim) {
-        let port = self.shard_port();
-        let victims: Vec<Pid> = w
-            .procs
-            .iter_mut()
-            .filter(|(_, p)| p.alive())
-            .filter_map(|(pid, p)| {
-                let h = p.ext.as_mut()?.downcast_mut::<dmtcp::hijack::Hijack>()?;
-                (h.root_port == port).then_some(*pid)
-            })
-            .collect();
-        for pid in victims {
-            w.signal(sim, pid, oskit::proc::sig::SIGKILL);
-        }
-        sim.run_until(w, sim.now() + Nanos::from_millis(1));
+            },
+        )
     }
 
     /// Tear the session down (frees its registry slot; images persist per
@@ -658,20 +624,5 @@ impl Client {
         post(w, sim, self.daemon.cfg.port, &Msg::CloseSession(self.sid));
         // Let the daemon process the teardown.
         sim.run_until(w, sim.now() + Nanos::from_millis(1));
-    }
-
-    /// View this session as a [`dmtcp::Session`] (shared coordinator
-    /// machinery; useful for helpers that take the session type, such as
-    /// [`dmtcp::RestartPlan::execute`]).
-    pub fn as_session(&self, w: &mut World) -> dmtcp::Session {
-        let shard = svc_shared(w, self.daemon.cfg.port)
-            .sessions
-            .get(&self.sid)
-            .map(|r| r.shard as usize)
-            .unwrap_or(0);
-        dmtcp::Session {
-            opts: self.opts.clone(),
-            coord_pid: self.daemon.shard_pids[shard],
-        }
     }
 }

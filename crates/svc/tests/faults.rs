@@ -106,7 +106,7 @@ fn coord_kill_cell(stg: u8) {
     );
     let a = d.open(&mut w, &mut sim, "acme", 4).expect("admitted");
     let b = d.open(&mut w, &mut sim, "bolt", 4).expect("admitted");
-    a.launch(
+    a.session.launch(
         &mut w,
         &mut sim,
         NodeId(1),
@@ -118,7 +118,7 @@ fn coord_kill_cell(stg: u8) {
             target: 3000,
         }),
     );
-    b.launch(
+    b.session.launch(
         &mut w,
         &mut sim,
         NodeId(2),
@@ -138,8 +138,8 @@ fn coord_kill_cell(stg: u8) {
 
     // Victim generation 2 in flight; the shard coordinator dies at `stg`.
     a.request_checkpoint(&mut w, &mut sim);
-    run_to_stage(&mut w, &mut sim, a.shard_port(), 2, stg);
-    let victim_coord = a.as_session(&mut w).coord_pid;
+    run_to_stage(&mut w, &mut sim, a.session.opts.coord_port, 2, stg);
+    let victim_coord = a.session.coord_pid;
     w.signal(&mut sim, victim_coord, oskit::proc::sig::SIGKILL);
     sim.run_until(&mut w, sim.now() + Nanos::from_millis(1));
 
@@ -152,12 +152,12 @@ fn coord_kill_cell(stg: u8) {
     // it, bring up a replacement shard coordinator on the same port, and
     // fall back. The incomplete generation 2 never reached a restart
     // script, so resilient restart lands on generation 1.
-    a.kill_computation(&mut w, &mut sim);
+    a.session.kill_computation(&mut w, &mut sim);
     let new_coord: Pid = w.spawn(
         &mut sim,
         d.cfg.node,
         "dmtcp_coordinator",
-        Box::new(Coordinator::new(a.shard_port(), None)),
+        Box::new(Coordinator::new(a.session.opts.coord_port, None)),
         Pid(1),
         BTreeMap::new(),
     );
@@ -166,13 +166,13 @@ fn coord_kill_cell(stg: u8) {
     let out = RestartPlan::builder()
         .resilient(true)
         .build()
-        .execute(&a.as_session(&mut w), &mut w, &mut sim)
+        .execute(&a.session, &mut w, &mut sim)
         .expect("previous generation restartable");
     assert_eq!(
         out.gen, ga1.gen,
         "victim falls back to its previous generation"
     );
-    dmtcp::Session::wait_restart_done_on(&mut w, &mut sim, a.shard_port(), out.gen, EV);
+    a.session.wait_restart_done(&mut w, &mut sim, out.gen, EV);
 
     // Both computations finish with correct answers.
     dmtcp::session::run_for(&mut w, &mut sim, Nanos::from_millis(700));

@@ -60,9 +60,32 @@ impl Program for Worker {
     }
 }
 
+/// A `dmtcpaware` program: asks for a checkpoint itself, then computes.
+struct Asker {
+    asked: bool,
+}
+simkit::impl_snap!(struct Asker { asked });
+
+impl Program for Asker {
+    fn step(&mut self, k: &mut Kernel<'_>) -> Step {
+        if !self.asked {
+            self.asked = true;
+            assert!(dmtcp::aware::request_checkpoint(k), "runs under DMTCP");
+        }
+        Step::Compute(100_000)
+    }
+    fn tag(&self) -> &'static str {
+        "svc-asker"
+    }
+    fn save(&self) -> Vec<u8> {
+        self.to_snap_bytes()
+    }
+}
+
 fn registry() -> Registry {
     let mut r = Registry::new();
     r.register_snap::<Worker>("svc-worker");
+    r.register_snap::<Asker>("svc-asker");
     r
 }
 
@@ -89,8 +112,7 @@ fn admission_control_is_typed_and_slots_recycle() {
     let b = d.open(&mut w, &mut sim, "bolt", 2).expect("admitted");
     assert_ne!(a.sid, b.sid);
     assert_ne!(
-        a.shard_port(),
-        b.shard_port(),
+        a.session.opts.coord_port, b.session.opts.coord_port,
         "hash-assigned to distinct shards"
     );
 
@@ -132,14 +154,14 @@ fn sessions_checkpoint_on_their_own_shards_without_observable_bleed() {
     );
     let a = d.open(&mut w, &mut sim, "acme", 4).expect("admitted");
     let b = d.open(&mut w, &mut sim, "bolt", 4).expect("admitted");
-    a.launch(
+    a.session.launch(
         &mut w,
         &mut sim,
         NodeId(1),
         "worker",
         Box::new(Worker::new(1, 4000)),
     );
-    b.launch(
+    b.session.launch(
         &mut w,
         &mut sim,
         NodeId(2),
@@ -155,17 +177,23 @@ fn sessions_checkpoint_on_their_own_shards_without_observable_bleed() {
     assert_eq!((ga1.gen, ga2.gen, gb1.gen), (1, 2, 1));
 
     // Shard isolation: each shard's barrier history is its own.
-    let a_stats = dmtcp::coord::coord_shared_for(&mut w, a.shard_port())
+    let a_stats = dmtcp::coord::coord_shared_for(&mut w, a.session.opts.coord_port)
         .gen_stats
         .len();
-    let b_stats = dmtcp::coord::coord_shared_for(&mut w, b.shard_port())
+    let b_stats = dmtcp::coord::coord_shared_for(&mut w, b.session.opts.coord_port)
         .gen_stats
         .len();
     assert_eq!((a_stats, b_stats), (2, 1));
 
     // Images land in per-tenant namespaces.
-    assert_eq!(ckptstore::tenant::tenant_of(&a.opts.ckpt_dir), Some("acme"));
-    assert_eq!(ckptstore::tenant::tenant_of(&b.opts.ckpt_dir), Some("bolt"));
+    assert_eq!(
+        ckptstore::tenant::tenant_of(&a.session.opts.ckpt_dir),
+        Some("acme")
+    );
+    assert_eq!(
+        ckptstore::tenant::tenant_of(&b.session.opts.ckpt_dir),
+        Some("bolt")
+    );
 
     // Per-session metrics: checkpoint requests are labeled by sid, and no
     // third session ever shows up.
@@ -212,14 +240,14 @@ fn victim_session_restarts_while_the_other_keeps_its_generation() {
     );
     let a = d.open(&mut w, &mut sim, "acme", 4).expect("admitted");
     let b = d.open(&mut w, &mut sim, "bolt", 4).expect("admitted");
-    a.launch(
+    a.session.launch(
         &mut w,
         &mut sim,
         NodeId(1),
         "worker",
         Box::new(Worker::new(1, 3000)),
     );
-    b.launch(
+    b.session.launch(
         &mut w,
         &mut sim,
         NodeId(2),
@@ -231,14 +259,14 @@ fn victim_session_restarts_while_the_other_keeps_its_generation() {
     let gb = b.checkpoint_and_wait(&mut w, &mut sim, EV).expect("b gen1");
 
     // Kill tenant A's computation; B is untouched.
-    a.kill_computation(&mut w, &mut sim);
+    a.session.kill_computation(&mut w, &mut sim);
     let out = RestartPlan::builder()
         .resilient(true)
         .build()
-        .execute(&a.as_session(&mut w), &mut w, &mut sim)
+        .execute(&a.session, &mut w, &mut sim)
         .expect("restartable");
     assert_eq!(out.gen, ga.gen);
-    dmtcp::Session::wait_restart_done_on(&mut w, &mut sim, a.shard_port(), ga.gen, EV);
+    a.session.wait_restart_done(&mut w, &mut sim, ga.gen, EV);
 
     // Both computations run to completion with correct answers.
     dmtcp::session::run_for(&mut w, &mut sim, Nanos::from_millis(700));
@@ -259,7 +287,7 @@ fn victim_session_restarts_while_the_other_keeps_its_generation() {
         "bystander tenant finishes"
     );
     // B's shard never saw A's crash: its only generation is still gb.
-    let b_stats = dmtcp::coord::coord_shared_for(&mut w, b.shard_port())
+    let b_stats = dmtcp::coord::coord_shared_for(&mut w, b.session.opts.coord_port)
         .gen_stats
         .clone();
     assert_eq!(b_stats.len(), 1);
@@ -291,7 +319,7 @@ fn quota_exhaustion_refuses_checkpoints_and_admission() {
     let a = d
         .open(&mut w, &mut sim, "acme", 2)
         .expect("under quota at open");
-    a.launch(
+    a.session.launch(
         &mut w,
         &mut sim,
         NodeId(1),
@@ -322,7 +350,7 @@ fn quota_exhaustion_refuses_checkpoints_and_admission() {
         other => panic!("expected a quota refusal, got {other}"),
     }
     assert_eq!(
-        dmtcp::coord::coord_shared_for(&mut w, a.shard_port())
+        dmtcp::coord::coord_shared_for(&mut w, a.session.opts.coord_port)
             .gen_stats
             .len(),
         1
@@ -336,4 +364,152 @@ fn quota_exhaustion_refuses_checkpoints_and_admission() {
     assert_eq!(e.reason, Some(RejectReason::QuotaExceeded));
     d.open(&mut w, &mut sim, "bolt", 1)
         .expect("other tenants fine");
+}
+
+#[test]
+fn a_refused_async_request_answers_only_its_own_session() {
+    let (mut w, mut sim) = cluster(3);
+    ckptstore::install(&mut w, ckptstore::Config::default());
+    ckptstore::tenant::register_tenant(
+        &mut w,
+        "acme",
+        ckptstore::tenant::TenantConfig {
+            quota_bytes: 4 << 10,
+            retention: 4,
+        },
+    );
+    let d = Dmtcpd::start(
+        &mut w,
+        &mut sim,
+        DaemonConfig {
+            shards: 2,
+            ..DaemonConfig::default()
+        },
+    );
+    let a = d.open(&mut w, &mut sim, "acme", 2).expect("admitted");
+    let b = d.open(&mut w, &mut sim, "bolt", 2).expect("admitted");
+    a.session.launch(
+        &mut w,
+        &mut sim,
+        NodeId(1),
+        "worker",
+        Box::new(Worker::new(1, 50_000)),
+    );
+    b.session.launch(
+        &mut w,
+        &mut sim,
+        NodeId(2),
+        "worker",
+        Box::new(Worker::new(2, 50_000)),
+    );
+    dmtcp::session::run_for(&mut w, &mut sim, Nanos::from_millis(20));
+    a.checkpoint_and_wait(&mut w, &mut sim, EV)
+        .expect("first fits");
+    assert!(ckptstore::tenant::over_quota(&w, "acme"));
+
+    // A's asynchronous request is refused, and nobody waits for the answer.
+    a.request_checkpoint(&mut w, &mut sim);
+    dmtcp::session::run_for(&mut w, &mut sim, Nanos::from_millis(1));
+
+    // That refusal answers neither B's checkpoint nor the next admission.
+    let gb = b
+        .checkpoint_and_wait(&mut w, &mut sim, EV)
+        .expect("B is under quota");
+    assert_eq!(gb.gen, 1);
+    let c = d
+        .open(&mut w, &mut sim, "crux", 1)
+        .expect("admission unaffected by A's refusal");
+    assert_eq!(d.open_sessions(&mut w), vec![a.sid, b.sid, c.sid]);
+
+    // A's own next request is refused, and its shard starts no generation.
+    match a.checkpoint_and_wait(&mut w, &mut sim, EV) {
+        Err(SvcCkptError::Refused(e)) => {
+            assert_eq!(e.reason, Some(RejectReason::QuotaExceeded))
+        }
+        other => panic!("expected A's quota refusal, got {other:?}"),
+    }
+    assert_eq!(
+        dmtcp::coord::coord_shared_for(&mut w, a.session.opts.coord_port)
+            .gen_stats
+            .len(),
+        1
+    );
+}
+
+#[test]
+fn session_kill_spares_dmtcpd_tenants() {
+    let (mut w, mut sim) = cluster(3);
+    let s = dmtcp::Session::start(&mut w, &mut sim, dmtcp::Options::default());
+    let d = Dmtcpd::start(
+        &mut w,
+        &mut sim,
+        DaemonConfig {
+            shards: 1,
+            ..DaemonConfig::default()
+        },
+    );
+    let t = d.open(&mut w, &mut sim, "acme", 2).expect("admitted");
+    let own = s.launch(
+        &mut w,
+        &mut sim,
+        NodeId(1),
+        "worker",
+        Box::new(Worker::new(1, 3000)),
+    );
+    let tenant = t.session.launch(
+        &mut w,
+        &mut sim,
+        NodeId(2),
+        "worker",
+        Box::new(Worker::new(2, 3000)),
+    );
+    dmtcp::session::run_for(&mut w, &mut sim, Nanos::from_millis(20));
+
+    s.kill_computation(&mut w, &mut sim);
+    let alive = |w: &World, pid| w.procs.get(&pid).is_some_and(|p| p.alive());
+    assert!(!alive(&w, own), "the session's own computation dies");
+    assert!(alive(&w, tenant), "the dmtcpd tenant survives");
+
+    let g = t
+        .checkpoint_and_wait(&mut w, &mut sim, EV)
+        .expect("the tenant checkpoints after the kill");
+    assert_eq!(g.gen, 1);
+    dmtcp::session::run_for(&mut w, &mut sim, Nanos::from_millis(700));
+    assert_eq!(
+        w.shared_fs.read_all("/shared/result_2").ok().as_deref(),
+        Some(&b"3000"[..]),
+        "the tenant finishes"
+    );
+}
+
+#[test]
+fn an_aware_tenant_checkpoints_through_its_own_shard() {
+    let (mut w, mut sim) = cluster(2);
+    let d = Dmtcpd::start(
+        &mut w,
+        &mut sim,
+        DaemonConfig {
+            shards: 2,
+            ..DaemonConfig::default()
+        },
+    );
+    let a = d.open(&mut w, &mut sim, "acme", 1).expect("admitted");
+    a.session.launch(
+        &mut w,
+        &mut sim,
+        NodeId(1),
+        "asker",
+        Box::new(Asker { asked: false }),
+    );
+    dmtcp::session::run_for(&mut w, &mut sim, Nanos::from_millis(200));
+    let stats = dmtcp::coord::coord_shared_for(&mut w, a.session.opts.coord_port)
+        .gen_stats
+        .clone();
+    assert_eq!(stats.len(), 1, "the app's request reached its shard");
+    assert!(
+        stats[0]
+            .releases
+            .contains_key(&dmtcp::coord::stage::REFILLED),
+        "and the generation completed"
+    );
 }

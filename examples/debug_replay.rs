@@ -96,7 +96,7 @@ fn main() {
             .expect("generation record written")
             .execute(&session, &mut w, &mut sim)
             .expect("replay restart");
-        Session::wait_restart_done(&mut w, &mut sim, stat.gen, 20_000_000);
+        session.wait_restart_done(&mut w, &mut sim, stat.gen, 20_000_000);
         // Run up to (but not past) the crash, inspecting state.
         run_for(&mut w, &mut sim, Nanos::from_millis(40));
         let hb = String::from_utf8(w.shared_fs.read_all("/shared/heartbeat").expect("hb"))

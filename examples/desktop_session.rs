@@ -52,7 +52,7 @@ fn main() {
         .expect("interval checkpoints wrote a generation record")
         .execute(&session, &mut w, &mut sim)
         .expect("workspace restore");
-    Session::wait_restart_done(&mut w, &mut sim, last.gen, EV);
+    session.wait_restart_done(&mut w, &mut sim, last.gen, EV);
 
     // The restored session keeps serving display updates.
     run_for(&mut w, &mut sim, Nanos::from_secs(2));

@@ -91,7 +91,7 @@ fn main() {
         .build()
         .execute(&session2, &mut laptop, &mut sim2)
         .expect("pack-down restart onto the laptop");
-    Session::wait_restart_done(&mut laptop, &mut sim2, stat.gen, EV);
+    session2.wait_restart_done(&mut laptop, &mut sim2, stat.gen, EV);
     let restored: usize = outcome.placement.iter().map(|(_, v)| v.len()).sum();
     println!("laptop: all {restored} processes restored on one machine");
     assert_eq!(

@@ -177,7 +177,7 @@ fn main() {
         .expect("generation record written")
         .execute(&session, &mut w, &mut sim)
         .expect("identity restart");
-    Session::wait_restart_done(&mut w, &mut sim, stat.gen, 10_000_000);
+    session.wait_restart_done(&mut w, &mut sim, stat.gen, 10_000_000);
     println!("restarted; computation resumes from the checkpoint");
 
     // Run to completion and verify.

@@ -42,12 +42,27 @@ stage_faults() {
     DMTCP_FAULT_ROTATING="${DMTCP_FAULT_ROTATING:-2}" cargo test -q -p dmtcp --test faults
 }
 
+# Strip what a figure binary prints besides its figure: the "# wrote <path>"
+# lines and trailing blank lines.
+golden_normalize() {
+    awk '/^# wrote /{next} /^$/{n++; next} {for(;n>0;n--) print ""; print}'
+}
+
 stage_bench() {
     echo "== ckptstore smoke bench (3 generations, NAS/MG + incremental >=10x gate) =="
     cargo build --release -p dmtcp-bench
     ./target/release/ckptstore --smoke
     echo "== downtime smoke bench (perceived vs total checkpoint time) =="
     ./target/release/downtime --smoke
+    echo "== golden outputs (virtual-time figures equal the committed results/<name>.txt) =="
+    local name out
+    for name in table1 fig3 fig6 runcms ablation; do
+        out=$(./target/release/"$name")
+        if ! diff -u <(golden_normalize <"results/$name.txt") <(printf '%s\n' "$out" | golden_normalize); then
+            echo "tier1: $name output differs from results/$name.txt" >&2
+            return 1
+        fi
+    done
     echo "== szip kernel micro bench (smoke, no gate) =="
     cargo bench -p dmtcp-bench -- szip crc32
     echo "== bench-regression gate =="

@@ -41,7 +41,7 @@ fn undump_replaces_long_startup() {
         .expect("restart script written")
         .execute(&s, &mut w, &mut sim)
         .expect("undump restart");
-    Session::wait_restart_done(&mut w, &mut sim, stat.gen, EV);
+    s.wait_restart_done(&mut w, &mut sim, stat.gen, EV);
     let restore_took = sim.now() - t1;
     assert!(
         restore_took < Nanos::from_secs(30),
@@ -84,7 +84,7 @@ fn cluster_to_laptop_via_facade() {
         .build()
         .execute(&s2, &mut laptop, &mut sim2)
         .expect("pack-down restart onto the laptop");
-    Session::wait_restart_done(&mut laptop, &mut sim2, stat.gen, EV);
+    s2.wait_restart_done(&mut laptop, &mut sim2, stat.gen, EV);
     // The demo keeps mapping tasks on the laptop.
     run_for(&mut laptop, &mut sim2, Nanos::from_millis(60));
     assert!(laptop.live_procs() >= 4, "session + coordinator alive");
@@ -128,7 +128,7 @@ fn revert_to_an_earlier_generation() {
         .expect("interval checkpoints wrote a restart script")
         .execute(&s, &mut w, &mut sim)
         .expect("revert to the first generation");
-    Session::wait_restart_done(&mut w, &mut sim, early, EV);
+    s.wait_restart_done(&mut w, &mut sim, early, EV);
     run_for(&mut w, &mut sim, Nanos::from_millis(30));
     assert!(w.live_procs() >= 2, "reverted session runs");
 }
